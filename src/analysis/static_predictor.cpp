@@ -33,7 +33,7 @@ isUnbiasedBranch(const Program &prog, const BasicBlock &b)
 
 /**
  * Most exit stubs one copy of this block can contribute to a region
- * (Region::computeTraceStubs / computeMultiPathStubs): a conditional
+ * (Region::computeStubs): a conditional
  * stubs at most both arms; direct/fall-through terminators at most
  * one target; indirect transfers and returns always exactly one
  * stub; halt never.

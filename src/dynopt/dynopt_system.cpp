@@ -227,21 +227,17 @@ DynOptSystem::submitRegion(RegionSpec spec)
 void
 DynOptSystem::enterRegion(const Region &region, const BasicBlock &block)
 {
-    inRegion_ = true;
-    curRegion_ = region.id();
-    curRegionPtr_ = &region;
+    curRegion_ = &region;
     regionPos_ = 0;
-    pendingCacheExit_ = false;
     lastStep_.where = StepTrace::Where::Cached;
-    lastStep_.region = curRegion_;
+    lastStep_.region = region.id();
     lastStep_.pos = 0;
     lastStep_.enteredRegion = true;
-    const RegionLayout &layout = layouts_[curRegion_];
-    curBase_ = layout.base;
-    curOffsets_ = layout.blockOffsets.data();
-    metrics_.onRegionEntered(curRegion_);
-    metrics_.onCachedBlock(block, curRegion_);
-    fetchCachedCur(0, block);
+    metrics_.onRegionEntered(region.id());
+    metrics_.onCachedBlock(block, region.id());
+    // The entry block sits at the region's base.
+    icache_.fetchRange(layouts_[region.id()].base,
+                       static_cast<std::uint32_t>(block.sizeBytes()));
 }
 
 template <bool Armed>
@@ -261,7 +257,6 @@ DynOptSystem::processEvent(const ExecEvent &ev)
         metrics_.onEdge(from->id(), ev.block->id());
     }
     prevBlock_ = ev.block;
-    lastStep_ = StepTrace{};
 
     // Deterministic fault injection, compiled out of the disarmed
     // instantiation. Faults fire on the event clock, before the
@@ -270,48 +265,12 @@ DynOptSystem::processEvent(const ExecEvent &ev)
     if constexpr (Armed)
         injectEventFaults();
 
-    if (inRegion_) {
-        const Region &r = *curRegionPtr_;
-        switch (r.step(regionPos_, *ev.block, ev.takenBranch)) {
-          case RegionStep::Internal:
-            lastStep_.where = StepTrace::Where::Cached;
-            lastStep_.region = curRegion_;
-            lastStep_.pos = regionPos_;
-            metrics_.onCachedBlock(*ev.block, curRegion_);
-            fetchCachedCur(regionPos_, *ev.block);
-            return;
-          case RegionStep::CycleRestart:
-            // One region execution ended by a branch to the top;
-            // the next begins immediately at the same region.
-            lastStep_.where = StepTrace::Where::Cached;
-            lastStep_.region = curRegion_;
-            lastStep_.pos = regionPos_;
-            lastStep_.enteredRegion = true;
-            metrics_.onRegionExecutionEnd(curRegion_, true);
-            metrics_.onRegionEntered(curRegion_);
-            metrics_.onCachedBlock(*ev.block, curRegion_);
-            fetchCachedCur(regionPos_, *ev.block);
-            return;
-          case RegionStep::Exit:
-            metrics_.onRegionExecutionEnd(curRegion_, false);
-            if (const Region *s = cache_.lookupEntry(ev.block->id())) {
-                // Exit stub linked straight to another region (or
-                // back to this one's own entry).
-                if (s->id() != curRegion_)
-                    metrics_.onRegionTransition(curRegion_, s->id());
-                enterRegion(*s, *ev.block);
-                return;
-            }
-            // Exit to the interpreter: the landing block is the
-            // target of a code-cache exit.
-            inRegion_ = false;
-            pendingCacheExit_ = true;
-            break;
-        }
-    } else if (ev.takenBranch) {
-        // Interpreted taken branch to a cached entry enters the
-        // cache (Section 2.1); the selector is told so it can stop
-        // a trace that reached the start of another trace.
+    // Interpreted taken branch to a cached entry enters the cache
+    // (Section 2.1); the selector is told so it can stop a trace
+    // that reached the start of another trace. After
+    // degradeToInterpretation() the cache stays empty, so this
+    // never fires.
+    if (ev.takenBranch) {
         if (const Region *r = cache_.lookupEntry(ev.block->id())) {
             if (auto spec = selector_->onCacheEnter(r->entryBlock())) {
                 submitRegion(std::move(*spec));
@@ -327,227 +286,192 @@ DynOptSystem::processEvent(const ExecEvent &ev)
             // Evicted under us: fall through to the interpreter.
         }
     }
-
-    // Interpret the block and let the selector observe it. A block
-    // reached through a cache exit counts as a taken transfer (the
-    // stub jump), with the exiting block's branch as the source.
-    SelectorEvent sev;
-    sev.block = ev.block;
-    sev.fromCacheExit = pendingCacheExit_;
-    if (ev.takenBranch) {
-        sev.viaTaken = true;
-        sev.branchAddr = ev.branchAddr;
-    } else if (pendingCacheExit_ && from != nullptr) {
-        sev.viaTaken = true;
-        sev.branchAddr = from->lastInstAddr();
-    }
-    const bool wasCacheExit = pendingCacheExit_;
-    pendingCacheExit_ = false;
-
-    std::optional<RegionSpec> spec = selector_->onInterpreted(sev);
-    bool jumped = false;
-    if (spec) {
-        const Addr entry = spec->blocks.front()->startAddr();
-        const bool cached = submitRegion(std::move(*spec));
-        if (cached && entry == ev.block->startAddr()) {
-            // "jump newT": the triggering execution continues
-            // natively inside the new region.
-            const Region *r = cache_.lookup(entry);
-            enterRegion(*r, *ev.block);
-            jumped = true;
-        }
-    }
-    if (!jumped) {
-        ++interpEvents_;
-        lastStep_.cacheExit = wasCacheExit;
-        metrics_.onInterpretedBlock(*ev.block);
-    }
+    interpret(ev, from, false);
 }
 
 void
-DynOptSystem::interpretOnlyEvent(const ExecEvent &ev)
+DynOptSystem::interpret(const ExecEvent &ev, const BasicBlock *from,
+                        bool fromCacheExit)
 {
-    metrics_.onEvent();
-    if (prevBlock_ != nullptr)
-        metrics_.onEdge(prevBlock_->id(), ev.block->id());
-    prevBlock_ = ev.block;
-    lastStep_ = StepTrace{};
+    if (!interpretOnly_) {
+        // Let the selector observe the block. A block reached
+        // through a cache exit counts as a taken transfer (the stub
+        // jump), with the exiting block's branch as the source.
+        SelectorEvent sev;
+        sev.block = ev.block;
+        sev.fromCacheExit = fromCacheExit;
+        if (ev.takenBranch) {
+            sev.viaTaken = true;
+            sev.branchAddr = ev.branchAddr;
+        } else if (fromCacheExit && from != nullptr) {
+            sev.viaTaken = true;
+            sev.branchAddr = from->lastInstAddr();
+        }
+        if (std::optional<RegionSpec> spec =
+                selector_->onInterpreted(sev)) {
+            const Addr entry = spec->blocks.front()->startAddr();
+            if (submitRegion(std::move(*spec)) &&
+                entry == ev.block->startAddr()) {
+                // "jump newT": the triggering execution continues
+                // natively inside the new region.
+                enterRegion(*cache_.lookup(entry), *ev.block);
+                return;
+            }
+        }
+    }
     ++interpEvents_;
+    lastStep_ = StepTrace{};
     metrics_.onInterpretedBlock(*ev.block);
 }
 
-bool
-DynOptSystem::onEvent(const ExecEvent &ev)
-{
-    RSEL_ASSERT(!finished_, "events delivered after finish()");
-    RSEL_ASSERT(selector_ != nullptr, "no selector attached");
-    if (interpretOnly_) {
-        interpretOnlyEvent(ev);
-        return true;
-    }
-    if (injector_)
-        processEvent<true>(ev);
-    else
-        processEvent<false>(ev);
-    return true;
-}
-
+template <bool Armed>
 std::size_t
-DynOptSystem::consumeTraceRun(const EventBatch &batch, std::size_t i)
+DynOptSystem::consumeRegionRun(const EventSpan &events, std::size_t i)
 {
-    const std::size_t n = batch.size();
     const BasicBlock *const progBlocks = prog_.blocks().data();
+    const std::size_t first = i;
 
-    // Current-region context, reloaded on every region switch.
-    const Region *r = curRegionPtr_;
-    const BlockId *rb = r->blockIds().data();
-    std::size_t rn = r->blockIds().size();
-    Addr top = r->entryAddr();
+    // The span and the current-region context in locals, the latter
+    // rebound on every chain: the loop's metric and I-cache stores
+    // would otherwise force reloads through the span, the region and
+    // the layout on every event.
+    const BlockId *const ids = events.blockIds;
+    const std::uint8_t *const takenFlags = events.takenFlags;
+    const std::size_t n = events.size;
+    const Region *region = nullptr;
+    RegionId id = invalidRegion;
+    RegionCursor cursor{};
+    std::uint64_t base = 0;
+    const std::uint32_t *offsets = nullptr;
+    const auto bind = [&](const Region &r) {
+        region = &r;
+        id = r.id();
+        cursor = r.cursor();
+        const RegionLayout &layout = layouts_[id];
+        base = layout.base;
+        offsets = layout.blockOffsets.data();
+    };
+    bind(*curRegion_);
 
     std::size_t pos = regionPos_;
     const BasicBlock *prev = prevBlock_;
     std::uint64_t insts = 0;
     std::uint64_t restarts = 0;
-    std::size_t runStart = i;
-    bool lastWasEntry = false;
-    bool any = false;
-
-    const auto flushRun = [&](std::size_t upto) {
-        metrics_.addEvents(upto - runStart);
-        metrics_.addCachedRun(curRegion_, insts, restarts);
-        insts = 0;
-        restarts = 0;
-        runStart = upto;
-    };
+    bool entered = false;
 
     for (; i < n; ++i) {
-        const BasicBlock &b = progBlocks[batch.blockIds[i]];
-        // The same decision Region::step makes, checked before any
-        // effect so an unconsumed event is left wholly to
-        // processEvent.
-        if (batch.takenFlags[i] != 0 && b.startAddr() == top) {
-            pos = 0;
-            ++restarts;
-            lastWasEntry = true;
-        } else if (pos + 1 < rn && b.id() == rb[pos + 1]) {
-            ++pos;
-            lastWasEntry = false;
-        } else {
-            // Exit. If it lands on another cached region's entry the
-            // per-event path would chain straight into it (the
-            // selector is not consulted on the exit-stub path), so
-            // the run can continue under the new region.
-            const Region *s = cache_.lookupEntry(b.id());
-            if (s == nullptr)
-                break;
-            flushRun(i);
-            metrics_.onRegionExecutionEnd(curRegion_, false);
-            if (s->id() != curRegion_)
-                metrics_.onRegionTransition(curRegion_, s->id());
-            // The effects of enterRegion(), with the run-local
-            // context rebound to the new region.
-            curRegion_ = s->id();
-            curRegionPtr_ = s;
-            const RegionLayout &layout = layouts_[curRegion_];
-            curBase_ = layout.base;
-            curOffsets_ = layout.blockOffsets.data();
-            metrics_.onRegionEntered(curRegion_);
-            r = s;
-            rb = r->blockIds().data();
-            rn = r->blockIds().size();
-            top = r->entryAddr();
-            pos = 0;
-            lastWasEntry = true;
-            if (r->kind() != Region::Kind::Trace) {
-                // Entered a multi-path region: account this entry
-                // event here, then let processEvent own the rest.
-                metrics_.onEvent();
-                metrics_.onCachedBlock(b, curRegion_);
-                fetchCachedCur(0, b);
-                if (prev != nullptr)
-                    metrics_.onEdge(prev->id(), b.id());
-                prev = &b;
-                ++i;
-                ++runStart;
-                any = true;
-                break;
-            }
+        const BasicBlock &b = progBlocks[ids[i]];
+        const bool taken = takenFlags[i] != 0;
+        // prev is never null here: a region block ran before b. The
+        // edge is an architectural fact, recorded whatever the cache
+        // state (see processEvent).
+        metrics_.onEdge(prev->id(), b.id());
+        if constexpr (Armed) {
+            // A fault may flush or invalidate the region in flight;
+            // it keeps executing (its object stays alive, exactly
+            // like an evicted region) and only future lookups miss.
+            injectEventFaults();
         }
-        if (prev != nullptr)
-            metrics_.onEdge(prev->id(), b.id());
-        prev = &b;
+        switch (cursor.step(pos, b, taken)) {
+          case RegionStep::Internal:
+            entered = false;
+            break;
+          case RegionStep::CycleRestart:
+            // One region execution ended by a branch to the top;
+            // the next begins immediately at the same region.
+            ++restarts;
+            entered = true;
+            break;
+          case RegionStep::Exit: {
+            metrics_.addCachedRun(id, insts, restarts);
+            insts = 0;
+            restarts = 0;
+            const Region *next = cache_.lookupEntry(b.id());
+            if (next == nullptr) {
+                // Exit to the interpreter: the landing block is the
+                // target of a code-cache exit.
+                metrics_.addEvents(i + 1 - first);
+                curRegion_ = nullptr;
+                prevBlock_ = &b;
+                interpret(ExecEvent{&b, taken, events.branchAddrs[i]},
+                          prev, true);
+                return i + 1;
+            }
+            // Exit stub linked straight to another region (or back
+            // to this one's own entry); the selector is not
+            // consulted on this path.
+            if (next != region)
+                metrics_.onRegionTransition(id, next->id());
+            bind(*next);
+            metrics_.onRegionEntered(id);
+            pos = 0;
+            entered = true;
+            break;
+          }
+        }
         insts += b.instCount();
-        fetchCachedCur(pos, b);
-        any = true;
+        icache_.fetchRange(base + offsets[pos],
+                           static_cast<std::uint32_t>(b.sizeBytes()));
+        prev = &b;
     }
 
-    if (any) {
-        flushRun(i);
-        regionPos_ = pos;
-        prevBlock_ = prev;
-        if (i == n) {
-            // The batch ended mid-run: leave the same step-trace
-            // probe state the per-event path would have.
-            lastStep_ = StepTrace{};
-            lastStep_.where = StepTrace::Where::Cached;
-            lastStep_.region = curRegion_;
-            lastStep_.pos = pos;
-            lastStep_.enteredRegion = lastWasEntry;
-        }
-    }
+    metrics_.addEvents(i - first);
+    metrics_.addCachedRun(id, insts, restarts);
+    curRegion_ = region;
+    regionPos_ = pos;
+    prevBlock_ = prev;
+    lastStep_.where = StepTrace::Where::Cached;
+    lastStep_.region = id;
+    lastStep_.pos = pos;
+    lastStep_.enteredRegion = entered;
     return i;
+}
+
+template <bool Armed>
+void
+DynOptSystem::dispatchLoop(const EventSpan &events)
+{
+    const std::vector<BasicBlock> &blocks = prog_.blocks();
+    std::size_t i = 0;
+    while (i < events.size) {
+        if (curRegion_ != nullptr) {
+            i = consumeRegionRun<Armed>(events, i);
+            continue;
+        }
+        processEvent<Armed>(ExecEvent{&blocks[events.blockIds[i]],
+                                      events.takenFlags[i] != 0,
+                                      events.branchAddrs[i]});
+        ++i;
+    }
+}
+
+void
+DynOptSystem::dispatch(const EventSpan &events)
+{
+    RSEL_ASSERT(!finished_, "events delivered after finish()");
+    RSEL_ASSERT(selector_ != nullptr, "no selector attached");
+    // An interpret-only system never ticks the injector again.
+    if (injector_ && !interpretOnly_)
+        dispatchLoop<true>(events);
+    else
+        dispatchLoop<false>(events);
+}
+
+bool
+DynOptSystem::onEvent(const ExecEvent &ev)
+{
+    const BlockId id = ev.block->id();
+    const std::uint8_t taken = ev.takenBranch ? 1 : 0;
+    dispatch(EventSpan{&id, &taken, &ev.branchAddr, 1});
+    return true;
 }
 
 std::size_t
 DynOptSystem::onBatch(const EventBatch &batch)
 {
-    RSEL_ASSERT(!finished_, "events delivered after finish()");
-    RSEL_ASSERT(selector_ != nullptr, "no selector attached");
-    const std::vector<BasicBlock> &blocks = prog_.blocks();
-    const std::size_t n = batch.size();
-    if (interpretOnly_) {
-        // Terminal graceful degradation: the whole batch is
-        // interpreted, no selector/injector/cache involvement.
-        for (std::size_t i = 0; i < n; ++i) {
-            ExecEvent ev;
-            ev.block = &blocks[batch.blockIds[i]];
-            ev.takenBranch = batch.takenFlags[i] != 0;
-            ev.branchAddr = batch.branchAddrs[i];
-            interpretOnlyEvent(ev);
-        }
-        return n;
-    }
-    // The armed/disarmed decision is per batch, not per event: the
-    // two loops run the same state machine, but the disarmed one is
-    // instantiated without any injector code on its fast path.
-    if (injector_) {
-        // Armed: the injector must tick on every event (faults can
-        // flush the region under us), so no run consumption here.
-        for (std::size_t i = 0; i < n; ++i) {
-            ExecEvent ev;
-            ev.block = &blocks[batch.blockIds[i]];
-            ev.takenBranch = batch.takenFlags[i] != 0;
-            ev.branchAddr = batch.branchAddrs[i];
-            processEvent<true>(ev);
-        }
-    } else {
-        std::size_t i = 0;
-        while (i < n) {
-            if (inRegion_ &&
-                curRegionPtr_->kind() == Region::Kind::Trace) {
-                i = consumeTraceRun(batch, i);
-                if (i == n)
-                    break;
-            }
-            ExecEvent ev;
-            ev.block = &blocks[batch.blockIds[i]];
-            ev.takenBranch = batch.takenFlags[i] != 0;
-            ev.branchAddr = batch.branchAddrs[i];
-            processEvent<false>(ev);
-            ++i;
-        }
-    }
-    return n;
+    dispatch(EventSpan{batch.blockIds.data(), batch.takenFlags.data(),
+                       batch.branchAddrs.data(), batch.size()});
+    return batch.size();
 }
 
 SimResult
@@ -555,11 +479,6 @@ DynOptSystem::finish()
 {
     RSEL_ASSERT(!finished_, "finish() may only be called once");
     finished_ = true;
-    if (inRegion_) {
-        // Close the in-flight region execution.
-        metrics_.onRegionExecutionEnd(curRegion_, false);
-        inRegion_ = false;
-    }
     SimResult result = metrics_.finalize(prog_, cache_, *selector_);
     result.icacheAccesses = icache_.accesses();
     result.icacheMisses = icache_.misses();

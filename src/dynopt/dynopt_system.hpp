@@ -59,16 +59,14 @@ struct StepTrace
     std::size_t pos = 0;
     /** True if this event began a region execution (entry/restart). */
     bool enteredRegion = false;
-    /** True if this event landed in the interpreter off a cache exit. */
-    bool cacheExit = false;
 };
 
 /**
  * The Section 2.1 simulator, driven as an ExecutionSink (one virtual
- * call per block) or — the fast path — as a BatchSink (one virtual
- * call per EventBatch, with the fault-injection disarm check hoisted
- * to batch granularity). Both paths run the identical per-event
- * state machine, so their SimResults are byte-identical.
+ * call per block) or as a BatchSink (one virtual call per
+ * EventBatch). Both feed the same dispatch loop — a per-event call is
+ * a batch of one — so their SimResults are byte-identical by
+ * construction.
  */
 class DynOptSystem : public ExecutionSink, public BatchSink
 {
@@ -179,8 +177,7 @@ class DynOptSystem : public ExecutionSink, public BatchSink
         cache_.flushAll();
         if (selector_ != nullptr)
             selector_->onCacheDisruption(CacheDisruption::Flush);
-        inRegion_ = false;
-        curRegionPtr_ = nullptr;
+        curRegion_ = nullptr;
     }
 
     /**
@@ -208,7 +205,10 @@ class DynOptSystem : public ExecutionSink, public BatchSink
     degradeToInterpretation()
     {
         shutdownCache();
-        pendingCacheExit_ = false;
+        // A region evicted, invalidated or flushed while running
+        // is not in the cache, so shutdownCache() may not have
+        // ended its run; end it here.
+        curRegion_ = nullptr;
         interpretOnly_ = true;
     }
 
@@ -245,9 +245,10 @@ class DynOptSystem : public ExecutionSink, public BatchSink
     /**
      * BatchSink: consume a whole batch of events. Whether fault
      * injection is armed is decided once per batch (the disarmed
-     * loop carries no per-event injector branch); when armed, faults
-     * still fire at exactly the same event indices as the per-event
-     * path. Always consumes the full batch.
+     * loop carries no per-event injector branch); when armed, the
+     * injector ticks on every event, so faults fire at the same event
+     * indices whatever the batch boundaries. Always consumes the
+     * full batch.
      */
     std::size_t onBatch(const EventBatch &batch) override;
 
@@ -306,49 +307,61 @@ class DynOptSystem : public ExecutionSink, public BatchSink
     /** Enter a region: bookkeeping common to all entry paths. */
     void enterRegion(const Region &region, const BasicBlock &block);
 
+    /** A stretch of events in structure-of-arrays form: a whole
+     *  EventBatch, or the single event of an onEvent() call. */
+    struct EventSpan
+    {
+        const BlockId *blockIds;
+        const std::uint8_t *takenFlags;
+        const Addr *branchAddrs;
+        std::size_t size;
+    };
+
+    /** Consume events for onEvent and onBatch: picks the armed or
+     *  disarmed dispatchLoop once per call. */
+    void dispatch(const EventSpan &events);
+
     /**
-     * The per-event state machine shared by onEvent and onBatch.
-     * `Armed` hoists the fault-injection check out of the event
-     * path: the disarmed instantiation contains no injector code at
-     * all, keeping the in-region fast path branch-predictable.
+     * The one dispatch loop: region runs go to consumeRegionRun,
+     * every other event to processEvent. `Armed` hoists the
+     * fault-injection check out of the loop: the disarmed
+     * instantiation contains no injector code at all.
+     */
+    template <bool Armed> void dispatchLoop(const EventSpan &events);
+
+    /**
+     * One event outside any region: enter the cache on a taken
+     * branch to a cached entry, otherwise interpret.
      */
     template <bool Armed> void processEvent(const ExecEvent &ev);
 
     /**
-     * The interpret-only event path after degradeToInterpretation():
-     * metrics-exact (event, edge, interpreted-block) but no selector,
-     * no injector, no cache.
-     */
-    void interpretOnlyEvent(const ExecEvent &ev);
-
-    /**
-     * Batch fast path: consume a run of events that stay inside the
-     * current Trace region (Internal steps and CycleRestarts),
-     * starting at batch index `i`. Stops at the first event the run
-     * cannot prove in-region (left for processEvent) or at the end
-     * of the batch. Metrics for the run are accumulated locally and
-     * folded in with two bulk calls; every per-event architectural
-     * effect (edge profile, I-cache accesses, predecessor tracking)
-     * is applied exactly as the per-event path would.
+     * Consume the run of events that starts at index `i` inside the
+     * current region (of either kind). Internal steps and cycle
+     * restarts stay in the run, and a linked exit chains into the
+     * next region without leaving it. The run ends at the end of
+     * the span, or at an unlinked exit, whose landing block is
+     * handed to interpret(). Metric counters for the run are folded
+     * in bulk; every per-event architectural effect (edge profile,
+     * I-cache fetch, predecessor tracking, injector tick) is applied
+     * per event.
      * @return the index of the first unconsumed event.
-     * @pre inRegion_ && curRegionPtr_->kind() == Trace; disarmed
-     *      (an armed system must tick the injector every event).
+     * @pre curRegion_ != nullptr, i < events.size.
      */
-    std::size_t consumeTraceRun(const EventBatch &batch,
-                                std::size_t i);
+    template <bool Armed>
+    std::size_t consumeRegionRun(const EventSpan &events,
+                                 std::size_t i);
 
     /**
-     * Feed one cached block's fetch through the I-cache model, using
-     * the current-region layout cached by enterRegion() — no deque
-     * or layout-table indexing on the in-region fast path.
+     * Interpret one block: the selector observes it (unless the
+     * system degraded to interpretation) and may complete a region,
+     * into which control jumps if it begins at this block.
+     * @param from          the previously executed block, or null.
+     * @param fromCacheExit true if the block is the landing of an
+     *                      unlinked code-cache exit.
      */
-    void
-    fetchCachedCur(std::size_t pos, const BasicBlock &block)
-    {
-        icache_.fetchRange(curBase_ + curOffsets_[pos],
-                           static_cast<std::uint32_t>(
-                               block.sizeBytes()));
-    }
+    void interpret(const ExecEvent &ev, const BasicBlock *from,
+                   bool fromCacheExit);
 
     const Program &prog_;
     CodeCache cache_;
@@ -380,23 +393,12 @@ class DynOptSystem : public ExecutionSink, public BatchSink
     analysis::AnalysisManager analysisMgr_;
     analysis::DiagnosticEngine verifyDiag_;
 
-    bool inRegion_ = false;
-    RegionId curRegion_ = invalidRegion;
-    /** The region curRegion_ names (Region objects outlive eviction
-     *  and live in a deque, so the pointer is stable); cached to
-     *  keep the in-region fast path free of deque indexing. */
-    const Region *curRegionPtr_ = nullptr;
+    /** The region executing, or nullptr while interpreting. Region
+     *  objects outlive eviction and live in a deque, so the pointer
+     *  is stable. */
+    const Region *curRegion_ = nullptr;
+    /** Index of the current block in curRegion_->blocks(). */
     std::size_t regionPos_ = 0;
-    /**
-     * The current region's layout, flattened: code-cache base and
-     * the per-block offset stripe. Set by enterRegion(); the offset
-     * buffer outlives outer-vector reallocation (vector moves keep
-     * heap storage), and every region entry re-caches both.
-     */
-    std::uint64_t curBase_ = 0;
-    const std::uint32_t *curOffsets_ = nullptr;
-    /** Set when execution just left the cache to the interpreter. */
-    bool pendingCacheExit_ = false;
     const BasicBlock *prevBlock_ = nullptr;
     /** Terminal graceful-degradation latch (service overload). */
     bool interpretOnly_ = false;
@@ -428,10 +430,11 @@ std::string algorithmName(Algorithm algo);
 
 /** How the executor delivers events to the system. */
 enum class Dispatch : std::uint8_t {
-    /** One virtual sink call per block (the reference path). */
+    /** One virtual sink call per block: DynOptSystem::onEvent, a
+     *  batch of one through the same dispatch loop. */
     PerEvent,
-    /** SoA batches via DynOptSystem::onBatch — byte-identical
-     *  results, several times the throughput. */
+    /** SoA batches via DynOptSystem::onBatch: one virtual call
+     *  per batch, byte-identical results. */
     Batched,
 };
 

@@ -82,17 +82,6 @@ class MetricsCollector
         ++perRegion(region).entries;
     }
 
-    /** A region execution ended. @param byCycle branch-to-top end. */
-    void
-    onRegionExecutionEnd(RegionId region, bool byCycle)
-    {
-        ++terminations_;
-        if (byCycle) {
-            ++cycleTerminations_;
-            ++perRegion(region).cycleEnds;
-        }
-    }
-
     /** A direct jump between two distinct cached regions. */
     void
     onRegionTransition(RegionId from, RegionId to)
@@ -120,13 +109,11 @@ class MetricsCollector
     void addEvents(std::uint64_t n) { events_ += n; }
 
     /**
-     * Bulk form of a run of cached trace execution: `insts` guest
+     * A run of cached execution inside one region: `insts` guest
      * instructions executed inside `region`, with `restarts`
      * cycle-restarts (each ends one region execution by cycle and
-     * immediately begins the next). Equivalent to the matching
-     * sequence of onCachedBlock/onRegionExecutionEnd/onRegionEntered
-     * calls — the batch dispatch path accumulates locally and folds
-     * the run in with one call.
+     * immediately begins the next). The dispatch loop accumulates a
+     * region run locally and folds it in with one call.
      */
     void
     addCachedRun(RegionId region, std::uint64_t insts,
@@ -134,7 +121,6 @@ class MetricsCollector
     {
         cachedInsts_ += insts;
         entries_ += restarts;
-        terminations_ += restarts;
         cycleTerminations_ += restarts;
         PerRegion &pr = perRegion(region);
         pr.insts += insts;
@@ -205,7 +191,6 @@ class MetricsCollector
     std::uint64_t cachedInsts_ = 0;
     std::uint64_t transitions_ = 0;
     std::uint64_t entries_ = 0;
-    std::uint64_t terminations_ = 0;
     std::uint64_t cycleTerminations_ = 0;
     std::vector<PerRegion> regions_;
     /** entry block -> executed predecessor blocks. */

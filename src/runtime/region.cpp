@@ -1,5 +1,7 @@
 #include "runtime/region.hpp"
 
+#include <unordered_set>
+
 #include "support/error.hpp"
 
 namespace rsel {
@@ -17,13 +19,9 @@ Region::Region(Kind kind, RegionId id,
         const bool inserted =
             memberIndex_.emplace(b->id(), i).second;
         RSEL_ASSERT(inserted, "duplicate block in region");
-        addrIndex_.emplace(b->startAddr(), i);
     }
     computeFootprint();
-    if (kind_ == Kind::Trace)
-        computeTraceStubs();
-    else
-        computeMultiPathStubs();
+    computeStubs();
 }
 
 Region
@@ -39,12 +37,6 @@ Region::makeMultiPath(RegionId id,
     return Region(Kind::MultiPath, id, std::move(blocks));
 }
 
-bool
-Region::containsBlockAddr(Addr addr) const
-{
-    return addrIndex_.count(addr) != 0;
-}
-
 void
 Region::computeFootprint()
 {
@@ -55,72 +47,39 @@ Region::computeFootprint()
 }
 
 void
-Region::computeTraceStubs()
+Region::computeStubs()
 {
+    // Every potential continuation that leaves the region needs an
+    // exit stub. Indirect transfers always need one stub for the
+    // mispredicted-target path, even when the recorded target stays
+    // inside.
+    //
     // A trace keeps control along the recorded path (block i to
     // block i+1) and along any direct branch back to its top (the
-    // link that spans a cycle). Every other potential continuation
-    // needs an exit stub. Indirect transfers always need one stub
-    // for the mispredicted-target path, even when the recorded
-    // target is the next trace block.
-    const Addr top = entryAddr();
+    // link that spans a cycle). A multi-path region keeps control
+    // for any transfer whose target block is a member: exits
+    // targeting member blocks were replaced by edges (Figure 13,
+    // line 16).
+    std::unordered_set<Addr> memberAddrs;
+    if (kind_ == Kind::MultiPath)
+        for (const BasicBlock *b : blocks_)
+            memberAddrs.insert(b->startAddr());
+
     for (std::size_t i = 0; i < blocks_.size(); ++i) {
         const BasicBlock *b = blocks_[i];
-        const BasicBlock *next =
-            i + 1 < blocks_.size() ? blocks_[i + 1] : nullptr;
-
-        auto needStubFor = [&](Addr target) {
-            if (target == top) {
-                spansCycle_ = true;
-                return false; // linked back to the trace head
-            }
-            if (next != nullptr && target == next->startAddr())
-                return false; // the recorded path, laid out inline
-            return true;
+        auto staysInside = [&](Addr target) {
+            if (kind_ == Kind::MultiPath)
+                return memberAddrs.count(target) != 0;
+            return target == entryAddr_ ||
+                   (i + 1 < blocks_.size() &&
+                    target == blocks_[i + 1]->startAddr());
         };
-
-        switch (b->terminator()) {
-          case BranchKind::CondDirect:
-            if (needStubFor(b->takenTarget()))
-                ++exitStubs_;
-            if (needStubFor(b->fallThroughAddr()))
-                ++exitStubs_;
-            break;
-          case BranchKind::Jump:
-          case BranchKind::Call:
-            if (needStubFor(b->takenTarget()))
-                ++exitStubs_;
-            break;
-          case BranchKind::None:
-            if (needStubFor(b->fallThroughAddr()))
-                ++exitStubs_;
-            break;
-          case BranchKind::IndirectJump:
-          case BranchKind::IndirectCall:
-          case BranchKind::Return:
-            ++exitStubs_;
-            break;
-          case BranchKind::Halt:
-            break;
-        }
-    }
-}
-
-void
-Region::computeMultiPathStubs()
-{
-    // A multi-path region keeps control for any transfer whose
-    // target block is a member: exits targeting member blocks were
-    // replaced by edges (Figure 13, line 16). Stubs remain for
-    // targets outside the region and for indirect misses.
-    for (const BasicBlock *b : blocks_) {
         auto needStubFor = [&](Addr target) {
-            if (containsBlockAddr(target)) {
-                if (target == entryAddr())
-                    spansCycle_ = true;
-                return false;
-            }
-            return true;
+            if (!staysInside(target))
+                return true;
+            if (target == entryAddr_)
+                spansCycle_ = true;
+            return false;
         };
 
         switch (b->terminator()) {

@@ -45,6 +45,60 @@ enum class RegionStep : std::uint8_t {
 };
 
 /**
+ * The step decision of one region, held by value: the fields it
+ * reads are copies, so a dispatch loop keeps them in registers across
+ * its own stores instead of reloading them through the region after
+ * every metric or I-cache update. Obtained from Region::cursor() and
+ * valid while the region lives (regions are never destroyed before
+ * their cache).
+ */
+struct RegionCursor
+{
+    /** Member block ids in region order (Region::blockIds()). */
+    const BlockId *ids;
+    /** Number of member blocks. */
+    std::size_t count;
+    /** Guest address of the region entry. */
+    Addr entryAddr;
+    /** Block id -> index, for a multi-path region; nullptr for a
+     *  trace, which needs only `ids`. */
+    const std::unordered_map<BlockId, std::size_t> *members;
+
+    /** Region::step without the position bounds check. */
+    RegionStep
+    step(std::size_t &pos, const BasicBlock &next, bool taken) const
+    {
+        // Defined inline: this is the once-per-cached-block decision
+        // of the simulation's hottest loop, and the trace fast path
+        // is two compares against precomputed values.
+        if (members == nullptr) {
+            // Trace. Branch back to the top: the spanned-cycle link.
+            if (taken && next.startAddr() == entryAddr) {
+                pos = 0;
+                return RegionStep::CycleRestart;
+            }
+            // The recorded path, laid out consecutively.
+            if (pos + 1 < count && next.id() == ids[pos + 1]) {
+                ++pos;
+                return RegionStep::Internal;
+            }
+            return RegionStep::Exit;
+        }
+
+        // MultiPath: any transfer to a member block stays inside.
+        auto it = members->find(next.id());
+        if (it == members->end())
+            return RegionStep::Exit;
+        if (next.startAddr() == entryAddr) {
+            pos = 0;
+            return RegionStep::CycleRestart;
+        }
+        pos = it->second;
+        return RegionStep::Internal;
+    }
+};
+
+/**
  * An immutable code-cache region. Construction precomputes the
  * instruction/byte footprint, the exit-stub count, and whether the
  * region statically spans a cycle.
@@ -105,8 +159,18 @@ class Region
      */
     const std::vector<BlockId> &blockIds() const { return blockIds_; }
 
-    /** True if a block starting at `addr` is a member. */
-    bool containsBlockAddr(Addr addr) const;
+    /**
+     * The region's step decision by value (see RegionCursor), for
+     * loops that advance through many blocks of one region.
+     */
+    RegionCursor
+    cursor() const
+    {
+        return RegionCursor{blockIds_.data(), blockIds_.size(),
+                            entryAddr_,
+                            kind_ == Kind::MultiPath ? &memberIndex_
+                                                     : nullptr};
+    }
 
     /**
      * Advance execution within the region.
@@ -119,37 +183,9 @@ class Region
     RegionStep
     step(std::size_t &pos, const BasicBlock &next, bool taken) const
     {
-        // Defined inline: this is the once-per-cached-block decision
-        // of the simulation's hottest loop, and the trace fast path
-        // is two compares against precomputed values.
         RSEL_ASSERT(pos < blocks_.size(),
                     "region position out of range");
-
-        if (kind_ == Kind::Trace) {
-            // Branch back to the top: the spanned-cycle link.
-            if (taken && next.startAddr() == entryAddr_) {
-                pos = 0;
-                return RegionStep::CycleRestart;
-            }
-            // The recorded path, laid out consecutively.
-            if (pos + 1 < blockIds_.size() &&
-                next.id() == blockIds_[pos + 1]) {
-                ++pos;
-                return RegionStep::Internal;
-            }
-            return RegionStep::Exit;
-        }
-
-        // MultiPath: any transfer to a member block stays inside.
-        auto it = memberIndex_.find(next.id());
-        if (it == memberIndex_.end())
-            return RegionStep::Exit;
-        if (next.startAddr() == entryAddr_) {
-            pos = 0;
-            return RegionStep::CycleRestart;
-        }
-        pos = it->second;
-        return RegionStep::Internal;
+        return cursor().step(pos, next, taken);
     }
 
     /** Number of guest instructions copied into this region. */
@@ -172,8 +208,7 @@ class Region
            std::vector<const BasicBlock *> blocks);
 
     void computeFootprint();
-    void computeTraceStubs();
-    void computeMultiPathStubs();
+    void computeStubs();
 
     Kind kind_;
     RegionId id_;
@@ -182,7 +217,6 @@ class Region
     std::vector<BlockId> blockIds_;
     /** block id -> index into blocks_. */
     std::unordered_map<BlockId, std::size_t> memberIndex_;
-    std::unordered_map<Addr, std::size_t> addrIndex_;
     Addr entryAddr_ = invalidAddr;
     std::uint64_t instCount_ = 0;
     std::uint64_t byteSize_ = 0;

@@ -1,5 +1,7 @@
 #include "testing/differential.hpp"
 
+#include <cinttypes>
+#include <cstdio>
 #include <memory>
 #include <sstream>
 
@@ -344,6 +346,17 @@ resultFingerprint(const SimResult &r)
            << s.executedInsts << "," << s.executions << ","
            << s.cycleEnds << "\n";
     return os.str();
+}
+
+std::string
+foldedFingerprint(const SimResult &result)
+{
+    std::uint64_t h = fnvOffset;
+    for (const char c : resultFingerprint(result))
+        h = fnvByte(h, static_cast<std::uint8_t>(c));
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016" PRIx64, h);
+    return buf;
 }
 
 DiffReport

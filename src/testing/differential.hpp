@@ -64,6 +64,12 @@ BrokenMode parseBrokenMode(const std::string &text);
  */
 std::string resultFingerprint(const SimResult &result);
 
+/**
+ * The pinned form of a fingerprint: FNV-1a of resultFingerprint() as
+ * 16 lowercase hex digits, the format of the files in perfbench/pins/.
+ */
+std::string foldedFingerprint(const SimResult &result);
+
 /** Outcome of one differential check. */
 struct DiffReport
 {

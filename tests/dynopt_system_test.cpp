@@ -9,7 +9,9 @@
 
 #include "dynopt/dynopt_system.hpp"
 #include "program/program_builder.hpp"
+#include "testing/differential.hpp"
 #include "workloads/scenarios.hpp"
+#include "workloads/workloads.hpp"
 
 namespace rsel {
 namespace {
@@ -170,7 +172,8 @@ TEST(DynOptSystemTest, FinishClosesInFlightExecution)
     Executor exec(p, 1);
     exec.run(50'000, system);
     SimResult r = system.finish();
-    // Every region entry has a matching termination after finish().
+    // The per-region execution counts sum to the global count,
+    // including the execution still in flight when finish() runs.
     std::uint64_t entries = 0;
     for (const RegionStats &reg : r.regions)
         entries += reg.executions;
@@ -216,6 +219,179 @@ TEST(DynOptSystemTest, CustomSelectorSeesOnlyInterpretedBlocks)
         ++idx;
     }
     EXPECT_TRUE(sawInterpretedB);
+}
+
+/** Forwards to a real selector and counts every call it receives. */
+class CountingSelector : public RegionSelector
+{
+  public:
+    explicit CountingSelector(std::unique_ptr<RegionSelector> inner)
+        : inner_(std::move(inner))
+    {}
+
+    std::optional<RegionSpec>
+    onInterpreted(const SelectorEvent &ev) override
+    {
+        ++calls;
+        return inner_->onInterpreted(ev);
+    }
+
+    std::optional<RegionSpec>
+    onCacheEnter(const BasicBlock &entry) override
+    {
+        ++calls;
+        return inner_->onCacheEnter(entry);
+    }
+
+    void
+    onCacheDisruption(CacheDisruption kind) override
+    {
+        ++calls;
+        inner_->onCacheDisruption(kind);
+    }
+
+    std::size_t maxLiveCounters() const override
+    {
+        return inner_->maxLiveCounters();
+    }
+    std::uint64_t peakObservedTraceBytes() const override
+    {
+        return inner_->peakObservedTraceBytes();
+    }
+    std::uint64_t markSweepRegions() const override
+    {
+        return inner_->markSweepRegions();
+    }
+    std::uint64_t markSweepMultiIterRegions() const override
+    {
+        return inner_->markSweepMultiIterRegions();
+    }
+    std::string name() const override { return inner_->name(); }
+
+    std::uint64_t calls = 0;
+
+  private:
+    std::unique_ptr<RegionSelector> inner_;
+};
+
+/** Drives a system and checks every event ran interpreted. */
+struct InterpretedOnlySink : ExecutionSink
+{
+    explicit InterpretedOnlySink(DynOptSystem &s) : system(s) {}
+
+    bool
+    onEvent(const ExecEvent &ev) override
+    {
+        system.onEvent(ev);
+        insts += ev.block->instCount();
+        if (system.lastStep().where != StepTrace::Where::Interpreted)
+            ++cached;
+        return true;
+    }
+
+    DynOptSystem &system;
+    std::uint64_t insts = 0;
+    std::uint64_t cached = 0;
+};
+
+TEST(DynOptSystemTest, DegradeToInterpretationMidRun)
+{
+    const Program p = findWorkload("gzip")->build(42);
+    constexpr std::uint64_t seed = 7;
+    constexpr std::uint64_t totalEvents = 400'000;
+
+    // squeeze: empty the cache (setCacheCapacity(1) evicts every
+    // region) just before the degrade, so the region in flight is no
+    // longer in the cache when the degrade lands.
+    for (const auto &[leiComb, squeeze] :
+         {std::pair{false, false}, std::pair{true, false},
+          std::pair{false, true}, std::pair{true, true}}) {
+        SCOPED_TRACE(leiComb ? "LEI+comb" : "NET");
+        SCOPED_TRACE(squeeze ? "cache emptied before the degrade"
+                             : "cache live at the degrade");
+        CountingSelector *sel = nullptr;
+        const auto attach = [&](DynOptSystem &system) {
+            system.useCustom([&](const Program &prog,
+                                 const CodeCache &cache) {
+                std::unique_ptr<RegionSelector> inner;
+                if (leiComb) {
+                    LeiConfig cfg;
+                    cfg.combine = true;
+                    inner = std::make_unique<LeiSelector>(prog, cache,
+                                                          cfg);
+                } else {
+                    inner = std::make_unique<NetSelector>(prog, cache,
+                                                          NetConfig{});
+                }
+                auto s =
+                    std::make_unique<CountingSelector>(std::move(inner));
+                sel = s.get();
+                return s;
+            });
+        };
+
+        // The degrade point: the first event past warm-up that leaves
+        // a region in flight. Finishing there gives the counts the
+        // degraded runs must keep.
+        std::uint64_t degradeAt = 150'000;
+        SimResult atDegrade;
+        {
+            DynOptSystem system(p);
+            attach(system);
+            Executor exec(p, seed);
+            exec.run(degradeAt, system);
+            while (system.lastStep().where != StepTrace::Where::Cached) {
+                ASSERT_EQ(exec.run(1, system), 1u);
+                ++degradeAt;
+            }
+            atDegrade = system.finish();
+        }
+
+        // batchSize 0 = per-event dispatch, which runs first and
+        // sums the instructions of the events after the degrade.
+        std::uint64_t instsAfter = 0;
+        std::vector<std::string> fingerprints;
+        for (const std::size_t batchSize : {0, 1, 257, 4096}) {
+            SCOPED_TRACE("batch size " + std::to_string(batchSize));
+            DynOptSystem system(p);
+            attach(system);
+            Executor exec(p, seed);
+            InterpretedOnlySink after(system);
+            if (batchSize == 0)
+                exec.run(degradeAt, system);
+            else
+                exec.runBatched(degradeAt, system, batchSize);
+            ASSERT_EQ(system.lastStep().where, StepTrace::Where::Cached);
+            if (squeeze) {
+                system.setCacheCapacity(1);
+                ASSERT_EQ(system.cache().liveRegionCount(), 0u);
+            }
+
+            system.degradeToInterpretation();
+            EXPECT_TRUE(system.interpretOnly());
+            const std::uint64_t callsAtDegrade = sel->calls;
+            if (batchSize == 0) {
+                exec.run(totalEvents - degradeAt, after);
+                EXPECT_EQ(after.cached, 0u);
+                instsAfter = after.insts;
+            } else {
+                exec.runBatched(totalEvents - degradeAt, system,
+                                batchSize);
+                EXPECT_EQ(system.lastStep().where,
+                          StepTrace::Where::Interpreted);
+            }
+            const SimResult r = system.finish();
+            EXPECT_EQ(sel->calls, callsAtDegrade);
+            EXPECT_EQ(r.events, totalEvents);
+            EXPECT_EQ(r.cachedInsts, atDegrade.cachedInsts);
+            EXPECT_EQ(r.regionExecutions, atDegrade.regionExecutions);
+            EXPECT_EQ(r.interpretedInsts,
+                      atDegrade.interpretedInsts + instsAfter);
+            fingerprints.push_back(testing::resultFingerprint(r));
+        }
+        for (const std::string &fp : fingerprints)
+            EXPECT_EQ(fp, fingerprints.front());
+    }
 }
 
 } // namespace
