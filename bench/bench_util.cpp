@@ -12,7 +12,8 @@
 namespace rsel::bench {
 
 BenchOptions
-parseArgs(int argc, char **argv, const std::string &description)
+parseArgs(int argc, char **argv, const std::string &description,
+          std::vector<std::string> *positional)
 {
     CliOptions cli;
     cli.define("events", "0",
@@ -29,35 +30,33 @@ parseArgs(int argc, char **argv, const std::string &description)
                "parallel sweep workers (0 = hardware concurrency, "
                "1 = serial)");
 
+    BenchOptions opts;
     try {
         cli.parse(argc, argv);
+        if (cli.helpRequested()) {
+            std::cout << description << "\n\n" << cli.usage(argv[0]);
+            std::exit(0);
+        }
+        if (positional == nullptr && !cli.positional().empty())
+            fatal("unexpected argument '" + cli.positional().front() +
+                  "'");
+        opts.events = cli.getUint("events");
+        opts.seed = cli.getUint("seed");
+        opts.buildSeed = cli.getUint("build-seed");
+        opts.workloadFilter = cli.get("workload");
+        opts.jobs = static_cast<std::size_t>(cli.getUint("jobs"));
+        opts.net.hotThreshold = cli.getUint32("net-threshold");
+        opts.lei.hotThreshold = cli.getUint32("lei-threshold");
+        opts.lei.bufferCapacity =
+            static_cast<std::size_t>(cli.getUint("buffer"));
+        opts.net.profWindow = opts.lei.profWindow = cli.getUint32("tprof");
+        opts.net.minOccur = opts.lei.minOccur = cli.getUint32("tmin");
     } catch (const FatalError &e) {
         std::cerr << e.what() << '\n';
         std::exit(2);
     }
-    if (cli.helpRequested()) {
-        std::cout << description << "\n\n" << cli.usage(argv[0]);
-        std::exit(0);
-    }
-
-    BenchOptions opts;
-    opts.events = cli.getUint("events");
-    opts.seed = cli.getUint("seed");
-    opts.buildSeed = cli.getUint("build-seed");
-    opts.workloadFilter = cli.get("workload");
-    opts.jobs = static_cast<std::size_t>(cli.getUint("jobs"));
-    opts.net.hotThreshold =
-        static_cast<std::uint32_t>(cli.getUint("net-threshold"));
-    opts.lei.hotThreshold =
-        static_cast<std::uint32_t>(cli.getUint("lei-threshold"));
-    opts.lei.bufferCapacity =
-        static_cast<std::size_t>(cli.getUint("buffer"));
-    const auto tprof = static_cast<std::uint32_t>(cli.getUint("tprof"));
-    const auto tmin = static_cast<std::uint32_t>(cli.getUint("tmin"));
-    opts.net.profWindow = tprof;
-    opts.lei.profWindow = tprof;
-    opts.net.minOccur = tmin;
-    opts.lei.minOccur = tmin;
+    if (positional != nullptr)
+        *positional = cli.positional();
     return opts;
 }
 

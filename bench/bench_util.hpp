@@ -1,11 +1,11 @@
 /**
  * @file
- * Shared harness for the figure/table reproduction binaries.
+ * Shared harness for the bench binaries.
  *
- * Every bench binary runs the twelve-workload synthetic suite under
- * the algorithms it needs and prints one table in the paper's
- * layout: a row per benchmark plus the cross-suite average the paper
- * quotes. Common CLI flags:
+ * The figure driver (figures.cpp) and the other bench binaries run
+ * the twelve-workload synthetic suite under the algorithms they need
+ * and print tables in the paper's layout: a row per benchmark plus
+ * the cross-suite average the paper quotes. Common CLI flags:
  *
  *   --events N   dynamic block events per run (0 = workload default)
  *   --seed N     executor seed
@@ -55,11 +55,14 @@ struct BenchOptions
 };
 
 /**
- * Parse the common bench CLI. Prints usage and exits on --help;
- * terminates with a message on bad options.
+ * Parse the common bench CLI. Prints usage and exits on --help; a
+ * bad option or value prints a message and exits with code 2.
+ * Positional arguments land in `positional`; when it is null they
+ * are a usage error.
  */
 BenchOptions parseArgs(int argc, char **argv,
-                       const std::string &description);
+                       const std::string &description,
+                       std::vector<std::string> *positional = nullptr);
 
 /**
  * Lazily runs and caches suite results per algorithm so a binary

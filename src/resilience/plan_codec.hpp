@@ -2,9 +2,10 @@
  * @file
  * Shared one-line plan codec.
  *
- * Both fault plans ("f1,tfail=10,...") and service chaos plans
- * ("c1,crash=250,...") are flat bags of integer knobs with the same
- * portability contract: the text form is a complete reproducer, and
+ * Fault plans ("f1,tfail=10,..."), service chaos plans
+ * ("c1,crash=250,...") and fuzz generator specs ("v1,funcs=2,...")
+ * are flat bags of integer knobs with the same portability
+ * contract: the text form is a complete reproducer, and
  * toString/parse/operator== must agree field-for-field forever. The
  * codec is therefore driven by a single per-plan field table — one
  * row per knob — so the three operations cannot drift apart, and a
@@ -12,9 +13,9 @@
  *
  * A field table is an array of PlanField<Plan>: each row names the
  * key and points at either a 64-bit or a 32-bit member (exactly one
- * of the two). Values are strict unsigned decimals; unknown keys and
- * trailing garbage are fatal, mirroring the repo's strict-CLI-parse
- * rule.
+ * of the two). Values are strict unsigned decimals; unknown keys,
+ * trailing garbage and values too wide for a 32-bit member are
+ * fatal, mirroring the repo's strict-CLI-parse rule.
  */
 
 #ifndef RSEL_RESILIENCE_PLAN_CODEC_HPP
@@ -22,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -109,6 +111,9 @@ planParse(const std::string &text, const char *tag, const char *kind,
             fatal(std::string("bad value \"") + val + "\" for " + kind +
                   "-plan field \"" + key + "\"");
         }
+        if (!def->wide && v > std::numeric_limits<std::uint32_t>::max())
+            fatal(std::string("value \"") + val + "\" for " + kind +
+                  "-plan field \"" + key + "\" does not fit in 32 bits");
         planSetField(plan, *def, v);
     }
     return plan;

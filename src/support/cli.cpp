@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -111,6 +112,31 @@ CliOptions::getUint(const std::string &name) const
     const std::uint64_t result = std::strtoull(v.c_str(), &end, 0);
     checkNumeric(name, v, end, "a non-negative integer");
     return result;
+}
+
+std::uint32_t
+CliOptions::getUint32(const std::string &name) const
+{
+    const std::uint64_t v = getUint(name);
+    if (v > std::numeric_limits<std::uint32_t>::max())
+        fatal("option --" + name + " value '" + get(name) +
+              "' does not fit in 32 bits");
+    return static_cast<std::uint32_t>(v);
+}
+
+std::size_t
+CliOptions::getChoice(const std::string &name,
+                      const std::vector<std::string> &choices) const
+{
+    const std::string &v = get(name);
+    std::string valid;
+    for (std::size_t i = 0; i < choices.size(); ++i) {
+        if (v == choices[i])
+            return i;
+        valid += (i == 0 ? "" : ", ") + choices[i];
+    }
+    fatal("option --" + name + " expects one of " + valid + ", got '" +
+          v + "'");
 }
 
 double

@@ -52,6 +52,20 @@ class CliOptions
     std::uint64_t getUint(const std::string &name) const;
 
     /**
+     * Unsigned value of an option that lands in a 32-bit field.
+     * @throws FatalError naming the option on a value above
+     * UINT32_MAX, or on any input getUint rejects.
+     */
+    std::uint32_t getUint32(const std::string &name) const;
+
+    /**
+     * Index of the option's value in `choices`. @throws FatalError
+     * naming the option and the choices on any other value.
+     */
+    std::size_t getChoice(const std::string &name,
+                          const std::vector<std::string> &choices) const;
+
+    /**
      * Double value of an option. @throws FatalError naming the
      * option on non-numeric or out-of-range input.
      */

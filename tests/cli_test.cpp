@@ -101,6 +101,30 @@ TEST(CliTest, WellFormedNumericValuesStillParse)
     EXPECT_DOUBLE_EQ(parseWith({}).getDouble("alpha"), 0.5);
 }
 
+TEST(CliTest, NarrowAndChoiceGettersRejectOtherValues)
+{
+    EXPECT_EQ(parseWith({"--events", "4294967295"}).getUint32("events"),
+              4294967295u);
+    // 2^32 + 50 must not wrap to 50.
+    EXPECT_THROW(
+        parseWith({"--events", "4294967346"}).getUint32("events"),
+        FatalError);
+    EXPECT_THROW(parseWith({"--events", "abc"}).getUint32("events"),
+                 FatalError);
+
+    EXPECT_EQ(parseWith({"--name", "fifo"}).getChoice("name",
+                                                      {"flush", "fifo"}),
+              1u);
+    try {
+        parseWith({"--name", "lru"}).getChoice("name", {"flush", "fifo"});
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("--name"), std::string::npos);
+        EXPECT_NE(msg.find("flush, fifo"), std::string::npos);
+    }
+}
+
 TEST(ExitCodeTest, CodesAreDistinctAndStable)
 {
     // The values are a published contract (scripts and CI match on
@@ -113,15 +137,21 @@ TEST(ExitCodeTest, CodesAreDistinctAndStable)
 
 #ifdef RSEL_TOOL_DIR
 
+/** Run one program, muted, and return its exit code. */
+int
+programExit(const std::string &program, const std::string &args)
+{
+    const std::string cmd = program + " " + args + " >/dev/null 2>&1";
+    const int rc = std::system(cmd.c_str());
+    EXPECT_TRUE(WIFEXITED(rc)) << cmd;
+    return WEXITSTATUS(rc);
+}
+
 /** Run one shipped tool, muted, and return its exit code. */
 int
 toolExit(const std::string &tool, const std::string &args)
 {
-    const std::string cmd = std::string(RSEL_TOOL_DIR) + "/" + tool +
-                            " " + args + " >/dev/null 2>&1";
-    const int rc = std::system(cmd.c_str());
-    EXPECT_TRUE(WIFEXITED(rc)) << cmd;
-    return WEXITSTATUS(rc);
+    return programExit(std::string(RSEL_TOOL_DIR) + "/" + tool, args);
 }
 
 TEST(ExitCodeTest, SimDistinguishesUsageFromClean)
@@ -135,10 +165,33 @@ TEST(ExitCodeTest, SimDistinguishesUsageFromClean)
               ExitUsageError);
     EXPECT_EQ(toolExit("rselect-sim", "--fault-spec garbage"),
               ExitUsageError);
+    // Out-of-range thresholds and unknown policies must not fall
+    // back silently to a wrapped value or the default policy.
+    EXPECT_EQ(toolExit("rselect-sim", "--net-threshold 4294967346"),
+              ExitUsageError);
+    EXPECT_EQ(toolExit("rselect-sim", "--cache-policy lru"),
+              ExitUsageError);
     EXPECT_EQ(toolExit("rselect-sim",
                        "--workload gzip --events 4000 --algos NET "
                        "--fault-spec f1,tfail=20,inval=100"),
               ExitOk);
+}
+
+TEST(ExitCodeTest, FiguresRejectsBadNamesAndValues)
+{
+    const std::string figures = RSEL_FIGURES;
+    EXPECT_EQ(programExit(figures, "fig09_cover_set --workload gzip "
+                                   "--events 2000"),
+              ExitOk);
+    EXPECT_EQ(programExit(figures, "no_such_figure"), ExitUsageError);
+    EXPECT_EQ(programExit(figures, "--workload nosuchworkload"),
+              ExitUsageError);
+    // 2^32 + 50 would wrap to the default threshold of 50.
+    EXPECT_EQ(programExit(figures,
+                          "fig09_cover_set --net-threshold 4294967346"),
+              ExitUsageError);
+    EXPECT_EQ(programExit(figures, "--definitely-not-a-flag"),
+              ExitUsageError);
 }
 
 TEST(ExitCodeTest, FuzzSignalsFailuresFound)

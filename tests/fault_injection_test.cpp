@@ -72,6 +72,10 @@ TEST(FaultPlanTest, ParseRejectsMalformedSpecs)
     EXPECT_THROW(FaultPlan::parse("f1,tfail=abc"), FatalError);
     EXPECT_THROW(FaultPlan::parse("f1,tfail=12x"), FatalError);
     EXPECT_THROW(FaultPlan::parse("f1,tfail"), FatalError);
+    // 2^32 + 10 must not wrap to 10 in a 32-bit field; 64-bit
+    // fields still take it.
+    EXPECT_THROW(FaultPlan::parse("f1,tfail=4294967306"), FatalError);
+    EXPECT_EQ(FaultPlan::parse("f1,seed=4294967306").seed, 4294967306u);
 }
 
 TEST(FaultPlanTest, ClampBoundsEveryField)

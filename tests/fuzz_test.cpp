@@ -54,6 +54,8 @@ TEST(GenSpecTest, ParseRejectsMalformedInput)
     EXPECT_THROW(GenSpec::parse("v1,funcs"), FatalError);
     EXPECT_THROW(GenSpec::parse("v1,funcs=abc"), FatalError);
     EXPECT_THROW(GenSpec::parse("v1,funcs=1x"), FatalError);
+    // 2^32 + 3 must not wrap to 3 in a 32-bit knob.
+    EXPECT_THROW(GenSpec::parse("v1,funcs=4294967299"), FatalError);
 }
 
 TEST(RandomProgramTest, GenerationIsDeterministic)

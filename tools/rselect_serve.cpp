@@ -92,12 +92,9 @@ buildConfig(const CliOptions &cli)
     config.shards = static_cast<std::size_t>(cli.getUint("shards"));
     if (config.shards == 0)
         fatal("--shards must be at least 1");
-    if (cli.get("policy") == "fifo")
-        config.policy = CacheLimits::Policy::Fifo;
-    else if (cli.get("policy") == "flush")
-        config.policy = CacheLimits::Policy::FullFlush;
-    else
-        fatal("--policy must be 'flush' or 'fifo'");
+    config.policy = cli.getChoice("policy", {"flush", "fifo"}) == 1
+                        ? CacheLimits::Policy::Fifo
+                        : CacheLimits::Policy::FullFlush;
     config.sliceEvents = cli.getUint("slice");
     config.eventsOverride = cli.getUint("events");
 

@@ -163,18 +163,16 @@ main(int argc, char **argv)
 
         SimOptions opts;
         opts.seed = cli.getUint("seed");
-        opts.net.hotThreshold =
-            static_cast<std::uint32_t>(cli.getUint("net-threshold"));
-        opts.lei.hotThreshold =
-            static_cast<std::uint32_t>(cli.getUint("lei-threshold"));
+        opts.net.hotThreshold = cli.getUint32("net-threshold");
+        opts.lei.hotThreshold = cli.getUint32("lei-threshold");
         opts.lei.bufferCapacity =
             static_cast<std::size_t>(cli.getUint("buffer"));
         opts.net.profWindow = opts.lei.profWindow =
-            static_cast<std::uint32_t>(cli.getUint("tprof"));
-        opts.net.minOccur = opts.lei.minOccur =
-            static_cast<std::uint32_t>(cli.getUint("tmin"));
+            cli.getUint32("tprof");
+        opts.net.minOccur = opts.lei.minOccur = cli.getUint32("tmin");
         opts.cache.capacityBytes = cli.getUint("cache-kb") * 1024;
-        opts.cache.policy = cli.get("cache-policy") == "fifo"
+        opts.cache.policy = cli.getChoice("cache-policy",
+                                          {"flush", "fifo"}) == 1
                                 ? CacheLimits::Policy::Fifo
                                 : CacheLimits::Policy::FullFlush;
         opts.maxEvents = cli.getUint("events");
