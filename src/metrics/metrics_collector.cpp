@@ -9,6 +9,31 @@
 
 namespace rsel {
 
+namespace {
+
+/** log2 of the filter slot count for a program of `blockCount`
+ *  blocks: 8 slots per block, rounded up to a power of two, kept
+ *  within [64, 4096]. */
+unsigned
+filterLog2(std::size_t blockCount)
+{
+    constexpr unsigned minLog2 = 6;  // 64 slots
+    constexpr unsigned maxLog2 = 12; // 4096 slots
+    unsigned log2 = minLog2;
+    // 2^log2 < 8 * blockCount, without the multiply overflowing.
+    while (log2 < maxLog2 && (std::size_t{1} << (log2 - 3)) < blockCount)
+        ++log2;
+    return log2;
+}
+
+} // namespace
+
+MetricsCollector::MetricsCollector(std::size_t blockCount)
+    : filterShift_(64 - filterLog2(blockCount)),
+      edgeSeen_(std::size_t{1} << (64 - filterShift_), 0),
+      linkSeen_(edgeSeen_.size(), 0)
+{}
+
 void
 MetricsCollector::recordEdge(BlockId src, BlockId dst)
 {

@@ -35,19 +35,29 @@ class MetricsCollector
 {
   public:
     /**
+     * @param blockCount blocks in the simulated program. It sizes
+     * the two recently-seen filters (see onEdge): max(64,
+     * nextpow2(8 * blockCount)) slots each, capped at 4096, so a
+     * small guest does not carry a large guest's scratch. The
+     * filters only skip inserts that would be no-ops, so their size
+     * never changes a result.
+     */
+    explicit MetricsCollector(std::size_t blockCount);
+
+    /**
      * Record an executed control-flow edge (any kind). The profile
      * is a *set* per destination, so recording is idempotent; a
-     * small direct-mapped filter of recently recorded edges skips
-     * the hash-set insert for the overwhelmingly common repeated
-     * edge without changing the recorded profile.
+     * small direct-mapped filter of recently recorded edges (sized
+     * from the program, see the constructor) skips the hash-set
+     * insert for the overwhelmingly common repeated edge without
+     * changing the recorded profile.
      */
     void
     onEdge(BlockId src, BlockId dst)
     {
         const std::uint64_t key =
             (static_cast<std::uint64_t>(src) << 32) | dst;
-        std::uint64_t &slot =
-            edgeSeen_[(key * 0x9E3779B97F4A7C15ull) >> edgeSeenShift];
+        std::uint64_t &slot = edgeSeen_[filterSlot(key)];
         if (slot == key + 1)
             return; // already recorded (insert would be a no-op)
         slot = key + 1; // +1 keeps key 0 distinct from "empty"
@@ -93,9 +103,7 @@ class MetricsCollector
         // pair's insert is a no-op — a direct-mapped filter of
         // recent pairs skips the hash insert for the common case of
         // control bouncing between the same two regions.
-        std::uint64_t &slot =
-            linkSeen_[(key * 0x9E3779B97F4A7C15ull) >>
-                      edgeSeenShift];
+        std::uint64_t &slot = linkSeen_[filterSlot(key)];
         if (slot == key + 1)
             return;
         slot = key + 1;
@@ -175,16 +183,23 @@ class MetricsCollector
     /** Slow path of onEdge(): the authoritative set insert. */
     void recordEdge(BlockId src, BlockId dst);
 
-    static constexpr std::size_t edgeSeenSlots = 4096;
-    static constexpr unsigned edgeSeenShift = 52; // 64 - log2(slots)
+    /** Filter slot of a packed (from, to) key: multiplicative
+     *  hash, top log2(slots) bits. */
+    std::size_t
+    filterSlot(std::uint64_t key) const
+    {
+        return static_cast<std::size_t>(
+            (key * 0x9E3779B97F4A7C15ull) >> filterShift_);
+    }
+
+    /** 64 - log2(filter slots). */
+    unsigned filterShift_;
 
     /** Direct-mapped recently-recorded-edge filter: key+1 or 0. */
-    std::vector<std::uint64_t> edgeSeen_ =
-        std::vector<std::uint64_t>(edgeSeenSlots, 0);
+    std::vector<std::uint64_t> edgeSeen_;
 
     /** Direct-mapped recently-seen region-link filter: key+1 or 0. */
-    std::vector<std::uint64_t> linkSeen_ =
-        std::vector<std::uint64_t>(edgeSeenSlots, 0);
+    std::vector<std::uint64_t> linkSeen_;
 
     std::uint64_t events_ = 0;
     std::uint64_t interpInsts_ = 0;

@@ -12,13 +12,25 @@ Region::Region(Kind kind, RegionId id,
 {
     RSEL_ASSERT(!blocks_.empty(), "a region needs at least one block");
     entryAddr_ = blocks_.front()->startAddr();
+    // At least twice as many slots as members (findMember relies on
+    // an empty slot in every probe sequence), and no fewer than 4.
+    unsigned log2 = 2;
+    while ((std::size_t{1} << log2) < 2 * blocks_.size())
+        ++log2;
+    RSEL_ASSERT(log2 < 32, "region too large for its member table");
+    memberShift_ = 32 - log2;
+    members_.assign(std::size_t{1} << log2, MemberSlot{0, 0});
+    const std::uint32_t mask = ~std::uint32_t{0} >> memberShift_;
     blockIds_.reserve(blocks_.size());
     for (std::size_t i = 0; i < blocks_.size(); ++i) {
-        const BasicBlock *b = blocks_[i];
-        blockIds_.push_back(b->id());
-        const bool inserted =
-            memberIndex_.emplace(b->id(), i).second;
-        RSEL_ASSERT(inserted, "duplicate block in region");
+        const BlockId id = blocks_[i]->id();
+        RSEL_ASSERT(id != invalidBlock, "region member without an id");
+        blockIds_.push_back(id);
+        std::uint32_t at = memberHome(id, memberShift_);
+        for (; members_[at].idPlus1 != 0; at = (at + 1) & mask)
+            RSEL_ASSERT(members_[at].idPlus1 != id + 1,
+                        "duplicate block in region");
+        members_[at] = MemberSlot{id + 1, static_cast<std::uint32_t>(i)};
     }
     computeFootprint();
     computeStubs();

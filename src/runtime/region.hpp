@@ -20,7 +20,6 @@
 #define RSEL_RUNTIME_REGION_HPP
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "isa/basic_block.hpp"
@@ -45,6 +44,45 @@ enum class RegionStep : std::uint8_t {
 };
 
 /**
+ * One slot of a region's member table: a member block's id + 1 (0
+ * marks an empty slot) and the block's index in the region.
+ */
+struct MemberSlot
+{
+    std::uint32_t idPlus1;
+    std::uint32_t pos;
+};
+
+/** First probe slot of `id` in a member table of 2^(32 - shift)
+ *  slots: multiplicative hash, top bits. */
+inline std::uint32_t
+memberHome(BlockId id, unsigned shift)
+{
+    return (id * 0x9E3779B1u) >> shift;
+}
+
+/**
+ * Find `id` in a member table: open addressing with linear probing
+ * over 2^(32 - shift) slots, at most half of them full, so every
+ * probe sequence reaches an empty slot. Returns null for a
+ * non-member.
+ */
+inline const MemberSlot *
+findMember(const MemberSlot *table, unsigned shift, BlockId id)
+{
+    const std::uint32_t mask = ~std::uint32_t{0} >> shift;
+    std::uint32_t at = memberHome(id, shift);
+    for (;;) {
+        const MemberSlot &slot = table[at];
+        if (slot.idPlus1 == id + 1)
+            return &slot;
+        if (slot.idPlus1 == 0)
+            return nullptr;
+        at = (at + 1) & mask;
+    }
+}
+
+/**
  * The step decision of one region, held by value: the fields it
  * reads are copies, so a dispatch loop keeps them in registers across
  * its own stores instead of reloading them through the region after
@@ -54,26 +92,28 @@ enum class RegionStep : std::uint8_t {
  */
 struct RegionCursor
 {
-    /** Member block ids in region order (Region::blockIds()). */
+    /** Member block ids in region order (Region::blockIds()); ids[0]
+     *  is the entry. */
     const BlockId *ids;
     /** Number of member blocks. */
     std::size_t count;
-    /** Guest address of the region entry. */
-    Addr entryAddr;
-    /** Block id -> index, for a multi-path region; nullptr for a
-     *  trace, which needs only `ids`. */
-    const std::unordered_map<BlockId, std::size_t> *members;
+    /** Member table of a multi-path region (see findMember); nullptr
+     *  for a trace, which needs only `ids`. */
+    const MemberSlot *members;
+    /** findMember's shift for `members`. */
+    unsigned memberShift;
 
     /** Region::step without the position bounds check. */
     RegionStep
     step(std::size_t &pos, const BasicBlock &next, bool taken) const
     {
         // Defined inline: this is the once-per-cached-block decision
-        // of the simulation's hottest loop, and the trace fast path
-        // is two compares against precomputed values.
+        // of the simulation's hottest loop. Blocks are identified by
+        // id throughout (a program's block ids and start addresses
+        // are one-to-one), so no step reads a block's instructions.
         if (members == nullptr) {
             // Trace. Branch back to the top: the spanned-cycle link.
-            if (taken && next.startAddr() == entryAddr) {
+            if (taken && next.id() == ids[0]) {
                 pos = 0;
                 return RegionStep::CycleRestart;
             }
@@ -86,14 +126,15 @@ struct RegionCursor
         }
 
         // MultiPath: any transfer to a member block stays inside.
-        auto it = members->find(next.id());
-        if (it == members->end())
+        const MemberSlot *slot =
+            findMember(members, memberShift, next.id());
+        if (slot == nullptr)
             return RegionStep::Exit;
-        if (next.startAddr() == entryAddr) {
+        if (next.id() == ids[0]) {
             pos = 0;
             return RegionStep::CycleRestart;
         }
-        pos = it->second;
+        pos = slot->pos;
         return RegionStep::Internal;
     }
 };
@@ -149,7 +190,7 @@ class Region
     /** True if the block is a member of the region. */
     bool containsBlock(BlockId id) const
     {
-        return memberIndex_.count(id) != 0;
+        return findMember(members_.data(), memberShift_, id) != nullptr;
     }
 
     /**
@@ -167,9 +208,9 @@ class Region
     cursor() const
     {
         return RegionCursor{blockIds_.data(), blockIds_.size(),
-                            entryAddr_,
-                            kind_ == Kind::MultiPath ? &memberIndex_
-                                                     : nullptr};
+                            kind_ == Kind::MultiPath ? members_.data()
+                                                     : nullptr,
+                            memberShift_};
     }
 
     /**
@@ -215,8 +256,11 @@ class Region
     std::vector<const BasicBlock *> blocks_;
     /** Ids of blocks_, same order (fast-path compare stripe). */
     std::vector<BlockId> blockIds_;
-    /** block id -> index into blocks_. */
-    std::unordered_map<BlockId, std::size_t> memberIndex_;
+    /** Member table, block id -> index into blocks_ (findMember):
+     *  a flat power-of-two array, built once at construction. */
+    std::vector<MemberSlot> members_;
+    /** findMember's shift for members_. */
+    unsigned memberShift_ = 0;
     Addr entryAddr_ = invalidAddr;
     std::uint64_t instCount_ = 0;
     std::uint64_t byteSize_ = 0;

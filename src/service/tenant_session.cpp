@@ -82,13 +82,18 @@ TenantSession::runSlice(std::uint64_t maxEvents)
     }
     const std::uint64_t want =
         std::min<std::uint64_t>(maxEvents, remaining_);
+    // The batch lives for this slice only: a tenant parked between
+    // slices holds no event scratch, so an idle fleet costs what
+    // its programs and caches need, not a slice's worth of events
+    // per tenant.
+    EventBatch batch;
     const std::uint64_t got =
-        exec_.fillBatch(batch_, static_cast<std::size_t>(want));
+        exec_.fillBatch(batch, static_cast<std::size_t>(want));
     if (got == 0) {
         done_ = true; // guest halted before its budget
         return false;
     }
-    sys_.onBatch(batch_);
+    sys_.onBatch(batch);
     eventsRun_ += got;
     remaining_ -= got;
     if (remaining_ == 0 || got < want)

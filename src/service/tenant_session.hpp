@@ -76,7 +76,11 @@ class TenantSession : public CodeCache::Listener
     TenantSession &operator=(const TenantSession &) = delete;
 
     /**
-     * Run up to `maxEvents` further events through the system.
+     * Run up to `maxEvents` further events through the system. The
+     * slice fills an event batch of its own and frees it on return,
+     * so a session parked between slices holds no event scratch:
+     * per tenant, the service keeps only what the tenant's program
+     * and caches need (docs/SERVICE.md, "Per-tenant footprint").
      * @return true while the tenant has work left; false once the
      * budget is exhausted, the guest halted, or a stop was
      * requested. Never call concurrently on the same session (the
@@ -190,7 +194,6 @@ class TenantSession : public CodeCache::Listener
      *  below are the ones a scheduler could plausibly race on. */
     DynOptSystem sys_;
     Executor exec_;
-    EventBatch batch_ RSEL_GUARDED_BY(sessionMu_);
     std::uint64_t remaining_ RSEL_GUARDED_BY(sessionMu_);
     std::uint64_t eventsRun_ RSEL_GUARDED_BY(sessionMu_) = 0;
     /** role: flag (release/acquire) — publishes "stop requested"

@@ -1,13 +1,19 @@
 /**
  * @file
- * Unit tests for the metrics layer: cover sets, ratios, and the
- * Section 4.1 exit-domination analysis.
+ * Unit tests for the metrics layer: cover sets, ratios, the
+ * Section 4.1 exit-domination analysis, and the collector's
+ * recently-seen filters.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "dynopt/dynopt_system.hpp"
 #include "metrics/metrics_collector.hpp"
+#include "selection/net_selector.hpp"
+#include "support/random.hpp"
 #include "workloads/scenarios.hpp"
 
 namespace rsel {
@@ -170,6 +176,68 @@ TEST(SimResultTest, ConservationClosesOnRealRunsAndFlagsTampering)
             EXPECT_NE(bad.conservationError(), "");
         }
     }
+}
+
+// The collector's edge and region-link filters are sized from the
+// program (64 slots for one block, 4096 for 4096 blocks), and only
+// skip inserts that would be no-ops. One stream with far more
+// distinct keys than 64 slots, fed to the smallest and the largest
+// filter, must give the same profile.
+TEST(MetricsCollectorTest, FilterSizeNeverChangesTheProfile)
+{
+    MetricsCollector small(1);
+    MetricsCollector large(4096);
+    constexpr BlockId blocks = 100;
+    constexpr RegionId regions = 40;
+    std::set<std::pair<BlockId, BlockId>> edges;
+    std::set<std::pair<RegionId, RegionId>> links;
+    std::uint64_t transitions = 0;
+    Rng rng(7);
+    BlockId src = 0;
+    RegionId from = 0;
+    for (int i = 0; i < 50'000; ++i) {
+        // Mostly a short walk (repeated keys hit the filters), now
+        // and then a jump anywhere (new keys evict filter slots).
+        const BlockId dst = rng.nextBool(0.8)
+                                ? (src + 1 + rng.nextBelow(3)) % blocks
+                                : static_cast<BlockId>(rng.nextBelow(blocks));
+        small.onEdge(src, dst);
+        large.onEdge(src, dst);
+        edges.emplace(src, dst);
+        src = dst;
+        if (i % 3 == 0) {
+            const RegionId to = static_cast<RegionId>(
+                rng.nextBool(0.7) ? (from + 1) % 4
+                                  : rng.nextBelow(regions));
+            if (to != from) {
+                small.onRegionTransition(from, to);
+                large.onRegionTransition(from, to);
+                links.emplace(from, to);
+                ++transitions;
+            }
+            from = to;
+        }
+    }
+    ASSERT_GT(edges.size(), 64u * 8);
+    ASSERT_GT(links.size(), 64u);
+
+    for (BlockId a = 0; a < blocks; ++a) {
+        for (BlockId b = 0; b < blocks; ++b) {
+            const bool seen = edges.count({a, b}) != 0;
+            EXPECT_EQ(small.sawEdge(a, b), seen) << a << " -> " << b;
+            EXPECT_EQ(large.sawEdge(a, b), seen) << a << " -> " << b;
+        }
+    }
+
+    Program p = buildNestedLoops();
+    CodeCache cache;
+    NetSelector selector(p, cache, NetConfig{});
+    const SimResult rs = small.finalize(p, cache, selector);
+    const SimResult rl = large.finalize(p, cache, selector);
+    EXPECT_EQ(rs.interRegionLinks, links.size());
+    EXPECT_EQ(rl.interRegionLinks, links.size());
+    EXPECT_EQ(rs.regionTransitions, transitions);
+    EXPECT_EQ(rl.regionTransitions, transitions);
 }
 
 } // namespace

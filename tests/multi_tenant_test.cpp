@@ -194,8 +194,9 @@ TEST(MultiTenantTest, DisjointAccountingUnderContention)
         // Every admission leaves exactly once or is still live —
         // and a tenant with no residual bytes has released all.
         EXPECT_GE(tr.cache.admissions, released) << tr.name;
-        if (tr.cache.liveBytes == 0)
+        if (tr.cache.liveBytes == 0) {
             EXPECT_EQ(tr.cache.admissions, released) << tr.name;
+        }
         admissions += tr.cache.admissions;
         releases += released;
         live += tr.cache.liveBytes;

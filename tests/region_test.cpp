@@ -8,7 +8,9 @@
 #include "program/program.hpp"
 #include "runtime/region.hpp"
 #include "support/error.hpp"
+#include "support/random.hpp"
 #include "workloads/scenarios.hpp"
+#include "workloads/workloads.hpp"
 
 namespace rsel {
 namespace {
@@ -157,6 +159,47 @@ TEST(RegionTest, MultiPathStubsExcludeInternalTargets)
     Region t2 = Region::makeTrace(2, pathOf(p, {Ids::b, Ids::d, Ids::f}));
     EXPECT_GT(t1.exitStubCount() + t2.exitStubCount(),
               r.exitStubCount());
+}
+
+// The member table is open-addressed, so members collide in it and
+// are found by probing. Random member sets of a large program (a
+// regular stride of ids would hash without any collision) must be
+// looked up right: members keep control at their own position,
+// non-members exit.
+TEST(RegionTest, MultiPathMemberTableFindsEveryMember)
+{
+    Program p = buildGcc(1);
+    ASSERT_GT(p.blocks().size(), 200u);
+    Rng rng(3);
+    for (int round = 0; round < 20; ++round) {
+        std::vector<const BasicBlock *> members;
+        for (const BasicBlock &b : p.blocks())
+            if (rng.nextBool(0.4))
+                members.push_back(&b);
+        ASSERT_FALSE(members.empty());
+        std::swap(members.front(), members[rng.nextBelow(members.size())]);
+        Region r = Region::makeMultiPath(0, members);
+
+        std::vector<std::size_t> posOf(p.blocks().size(), SIZE_MAX);
+        for (std::size_t i = 0; i < members.size(); ++i)
+            posOf[members[i]->id()] = i;
+        for (const BasicBlock &b : p.blocks()) {
+            const bool member = posOf[b.id()] != SIZE_MAX;
+            EXPECT_EQ(r.containsBlock(b.id()), member) << b.id();
+            std::size_t pos = 1;
+            const RegionStep step = r.step(pos, b, false);
+            if (!member) {
+                EXPECT_EQ(step, RegionStep::Exit) << b.id();
+                EXPECT_EQ(pos, 1u);
+            } else if (posOf[b.id()] == 0) {
+                EXPECT_EQ(step, RegionStep::CycleRestart) << b.id();
+                EXPECT_EQ(pos, 0u);
+            } else {
+                EXPECT_EQ(step, RegionStep::Internal) << b.id();
+                EXPECT_EQ(pos, posOf[b.id()]) << b.id();
+            }
+        }
+    }
 }
 
 TEST(RegionTest, RejectsDuplicateBlocks)
