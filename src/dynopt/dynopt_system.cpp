@@ -446,32 +446,19 @@ DynOptSystem::dispatchLoop(const EventSpan &events)
     }
 }
 
-void
-DynOptSystem::dispatch(const EventSpan &events)
+std::size_t
+DynOptSystem::onBatch(const EventBatch &batch)
 {
     RSEL_ASSERT(!finished_, "events delivered after finish()");
     RSEL_ASSERT(selector_ != nullptr, "no selector attached");
+    const EventSpan events{batch.blockIds.data(),
+                           batch.takenFlags.data(),
+                           batch.branchAddrs.data(), batch.size()};
     // An interpret-only system never ticks the injector again.
     if (injector_ && !interpretOnly_)
         dispatchLoop<true>(events);
     else
         dispatchLoop<false>(events);
-}
-
-bool
-DynOptSystem::onEvent(const ExecEvent &ev)
-{
-    const BlockId id = ev.block->id();
-    const std::uint8_t taken = ev.takenBranch ? 1 : 0;
-    dispatch(EventSpan{&id, &taken, &ev.branchAddr, 1});
-    return true;
-}
-
-std::size_t
-DynOptSystem::onBatch(const EventBatch &batch)
-{
-    dispatch(EventSpan{batch.blockIds.data(), batch.takenFlags.data(),
-                       batch.branchAddrs.data(), batch.size()});
     return batch.size();
 }
 
@@ -573,10 +560,7 @@ simulate(const Program &prog, Algorithm algo, const SimOptions &opts)
     system.armFaults(opts.faults, opts.faultSeed);
 
     Executor exec(prog, opts.seed);
-    if (opts.dispatch == Dispatch::Batched)
-        exec.runBatched(opts.maxEvents, system, opts.batchSize);
-    else
-        exec.run(opts.maxEvents, system);
+    exec.run(opts.maxEvents, system, opts.batchSize);
     return system.finish();
 }
 

@@ -62,13 +62,11 @@ struct StepTrace
 };
 
 /**
- * The Section 2.1 simulator, driven as an ExecutionSink (one virtual
- * call per block) or as a BatchSink (one virtual call per
- * EventBatch). Both feed the same dispatch loop — a per-event call is
- * a batch of one — so their SimResults are byte-identical by
- * construction.
+ * The Section 2.1 simulator, driven as a BatchSink: one virtual call
+ * per EventBatch, every batch through the same dispatch loop, so the
+ * SimResult does not depend on the batch size.
  */
-class DynOptSystem : public ExecutionSink, public BatchSink
+class DynOptSystem : public BatchSink
 {
   public:
     /**
@@ -239,9 +237,6 @@ class DynOptSystem : public ExecutionSink, public BatchSink
         return *this;
     }
 
-    /** ExecutionSink: consume one dynamic block event. */
-    bool onEvent(const ExecEvent &event) override;
-
     /**
      * BatchSink: consume a whole batch of events. Whether fault
      * injection is armed is decided once per batch (the disarmed
@@ -264,7 +259,10 @@ class DynOptSystem : public ExecutionSink, public BatchSink
     /** The active selector. @pre a use*() call happened. */
     const RegionSelector &selector() const { return *selector_; }
 
-    /** Disposition of the most recent onEvent() (testing probe). */
+    /**
+     * Disposition of the last event consumed (testing probe): after
+     * a one-event batch, that event's.
+     */
     const StepTrace &lastStep() const { return lastStep_; }
 
     /** The live metrics collector (testing probe). */
@@ -307,8 +305,7 @@ class DynOptSystem : public ExecutionSink, public BatchSink
     /** Enter a region: bookkeeping common to all entry paths. */
     void enterRegion(const Region &region, const BasicBlock &block);
 
-    /** A stretch of events in structure-of-arrays form: a whole
-     *  EventBatch, or the single event of an onEvent() call. */
+    /** The stripes of one EventBatch, as raw pointers. */
     struct EventSpan
     {
         const BlockId *blockIds;
@@ -316,10 +313,6 @@ class DynOptSystem : public ExecutionSink, public BatchSink
         const Addr *branchAddrs;
         std::size_t size;
     };
-
-    /** Consume events for onEvent and onBatch: picks the armed or
-     *  disarmed dispatchLoop once per call. */
-    void dispatch(const EventSpan &events);
 
     /**
      * The one dispatch loop: region runs go to consumeRegionRun,
@@ -428,24 +421,15 @@ constexpr Algorithm allSelectors[] = {
 /** Human-readable algorithm name. */
 std::string algorithmName(Algorithm algo);
 
-/** How the executor delivers events to the system. */
-enum class Dispatch : std::uint8_t {
-    /** One virtual sink call per block: DynOptSystem::onEvent, a
-     *  batch of one through the same dispatch loop. */
-    PerEvent,
-    /** SoA batches via DynOptSystem::onBatch: one virtual call
-     *  per batch, byte-identical results. */
-    Batched,
-};
-
 /** Options for the one-call simulation harness. */
 struct SimOptions
 {
     /** Maximum dynamic block events to execute. */
     std::uint64_t maxEvents = 2'000'000;
-    /** Event-delivery mechanism; results are identical either way. */
-    Dispatch dispatch = Dispatch::Batched;
-    /** Events per batch when dispatch == Batched. */
+    /**
+     * Events per batch the executor delivers; results are identical
+     * for every size (1 is per-event delivery).
+     */
     std::size_t batchSize = defaultBatchSize;
     /** Executor seed (branch-behaviour randomness). */
     std::uint64_t seed = 1;

@@ -6,6 +6,20 @@
 
 namespace rsel {
 
+std::size_t
+PerEventSink::onBatch(const EventBatch &batch)
+{
+    const std::vector<BasicBlock> &blocks = prog_.blocks();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const ExecEvent ev{&blocks[batch.blockIds[i]],
+                           batch.takenFlags[i] != 0,
+                           batch.branchAddrs[i]};
+        if (!onEvent(ev))
+            return i + 1;
+    }
+    return batch.size();
+}
+
 Executor::Executor(const Program &prog, std::uint64_t seed)
     : prog_(prog), rng_(seed),
       loopRemaining_(prog.blocks().size(), loopUnarmed),
@@ -161,40 +175,6 @@ Executor::nextBlock(const BasicBlock &b, bool &taken)
 }
 
 std::uint64_t
-Executor::run(std::uint64_t maxEvents, ExecutionSink &sink)
-{
-    std::uint64_t delivered = 0;
-    while (!finished_ && delivered < maxEvents) {
-        ExecEvent ev;
-        ev.block = current_;
-        ev.takenBranch = pendingTaken_;
-        ev.branchAddr = pendingBranchAddr_;
-
-        ++delivered;
-        ++executedBlocks_;
-        advancePhase();
-
-        const bool keepGoing = sink.onEvent(ev);
-
-        // Resolve the successor before honouring an early stop so
-        // execution can resume exactly where it left off.
-        bool taken = false;
-        const BasicBlock *next = nextBlock(*current_, taken);
-        if (next == nullptr) {
-            finished_ = true;
-        } else {
-            pendingTaken_ = taken;
-            pendingBranchAddr_ = taken ? current_->lastInstAddr()
-                                       : invalidAddr;
-            current_ = next;
-        }
-        if (!keepGoing)
-            break;
-    }
-    return delivered;
-}
-
-std::uint64_t
 Executor::fillBatch(EventBatch &batch, std::size_t maxEvents)
 {
     batch.clear();
@@ -212,10 +192,10 @@ Executor::fillBatch(EventBatch &batch, std::size_t maxEvents)
 
     std::size_t count = 0;
     while (count < maxEvents) {
-        // The same per-event sequence as run(): record the event,
-        // advance the phase, then resolve the successor. Only the
-        // delivery differs, so the RNG is consumed identically and
-        // the two paths produce byte-identical streams.
+        // Record the event, advance the phase, then resolve the
+        // successor: the successor is resolved before fillBatch
+        // returns, so a later call resumes exactly where this one
+        // left off, whatever the batch boundaries.
         ids[count] = current_->id();
         flags[count] = pendingTaken_ ? 1 : 0;
         addrs[count] = pendingBranchAddr_;
@@ -241,26 +221,26 @@ Executor::fillBatch(EventBatch &batch, std::size_t maxEvents)
 }
 
 std::uint64_t
-Executor::runBatched(std::uint64_t maxEvents, BatchSink &sink,
-                     std::size_t batchSize)
+Executor::run(std::uint64_t maxEvents, BatchSink &sink,
+              std::size_t batchSize)
 {
-    RSEL_ASSERT(batchSize > 0, "batch size must be at least 1");
-    EventBatch batch;
-    batch.reserve(batchSize);
-    std::uint64_t consumed = 0;
-    while (consumed < maxEvents) {
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(batchSize, maxEvents - consumed));
-        if (fillBatch(batch, want) == 0)
+    return deliverBatches(*this, maxEvents, sink, batchSize);
+}
+
+std::uint64_t
+Executor::skip(std::uint64_t n)
+{
+    EventBatch scratch;
+    std::uint64_t skipped = 0;
+    while (skipped < n) {
+        const std::uint64_t got = fillBatch(
+            scratch, static_cast<std::size_t>(std::min<std::uint64_t>(
+                         n - skipped, defaultBatchSize)));
+        if (got == 0)
             break;
-        const std::size_t took = sink.onBatch(batch);
-        RSEL_ASSERT(took <= batch.size(),
-                    "sink consumed more events than the batch holds");
-        consumed += took;
-        if (took < batch.size())
-            break;
+        skipped += got;
     }
-    return consumed;
+    return skipped;
 }
 
 } // namespace rsel

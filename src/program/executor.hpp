@@ -10,10 +10,12 @@
 #ifndef RSEL_PROGRAM_EXECUTOR_HPP
 #define RSEL_PROGRAM_EXECUTOR_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "program/program.hpp"
+#include "support/error.hpp"
 #include "support/random.hpp"
 
 namespace rsel {
@@ -30,19 +32,6 @@ struct ExecEvent
      * instruction of the previous block); valid iff takenBranch.
      */
     Addr branchAddr = invalidAddr;
-};
-
-/** Consumer of the dynamic block stream. */
-class ExecutionSink
-{
-  public:
-    virtual ~ExecutionSink() = default;
-
-    /**
-     * Called once per executed basic block, in execution order.
-     * @return false to stop execution early.
-     */
-    virtual bool onEvent(const ExecEvent &event) = 0;
 };
 
 /**
@@ -100,9 +89,9 @@ struct EventBatch
 constexpr std::size_t defaultBatchSize = 4096;
 
 /**
- * Consumer of batched dynamic block streams. The batched counterpart
- * of ExecutionSink: one virtual call per EventBatch instead of one
- * per block.
+ * Consumer of the dynamic block stream: the one interface through
+ * which events leave a producer (Executor, TraceReplayer), one
+ * virtual call per EventBatch.
  */
 class BatchSink
 {
@@ -112,18 +101,73 @@ class BatchSink
     /**
      * Consume a batch. @return the number of events consumed;
      * returning fewer than batch.size() stops the run. The producer
-     * has already advanced past the whole batch, so — unlike
-     * ExecutionSink::onEvent — the unconsumed tail is not replayed
-     * by a later call.
+     * has already advanced past the whole batch, so the unconsumed
+     * tail is dropped, not replayed by a later call. To stop at an
+     * exact event and resume there, bound the run's maxEvents.
      */
     virtual std::size_t onBatch(const EventBatch &batch) = 0;
 };
 
 /**
+ * Adapter for consumers that want one resolved ExecEvent at a time:
+ * walks each batch, resolves every id through the program, and calls
+ * onEvent(). Consumes up to and including the first event for which
+ * onEvent() returns false. As for any BatchSink, that ends the run
+ * only if part of the batch is left unconsumed.
+ */
+class PerEventSink : public BatchSink
+{
+  public:
+    /** @param prog program the events come from; must outlive this. */
+    explicit PerEventSink(const Program &prog) : prog_(prog) {}
+
+    std::size_t onBatch(const EventBatch &batch) override;
+
+    /**
+     * Called once per executed basic block, in execution order.
+     * @return false to stop consuming after this event.
+     */
+    virtual bool onEvent(const ExecEvent &event) = 0;
+
+  private:
+    const Program &prog_;
+};
+
+/**
+ * The delivery loop every producer shares: fill a reused batch of at
+ * most `batchSize` events through `producer.fillBatch`, hand it to
+ * `sink`, repeat until `maxEvents` are consumed, the producer runs
+ * dry, or the sink stops. @return events consumed by the sink.
+ */
+template <typename Producer>
+std::uint64_t
+deliverBatches(Producer &producer, std::uint64_t maxEvents,
+               BatchSink &sink, std::size_t batchSize)
+{
+    RSEL_ASSERT(batchSize > 0, "batch size must be at least 1");
+    EventBatch batch;
+    batch.reserve(batchSize);
+    std::uint64_t consumed = 0;
+    while (consumed < maxEvents) {
+        const std::size_t want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(batchSize, maxEvents - consumed));
+        if (producer.fillBatch(batch, want) == 0)
+            break;
+        const std::size_t took = sink.onBatch(batch);
+        RSEL_ASSERT(took <= batch.size(),
+                    "sink consumed more events than the batch holds");
+        consumed += took;
+        if (took < batch.size())
+            break;
+    }
+    return consumed;
+}
+
+/**
  * Interprets a Program, resolving branch behaviours with a seeded
- * RNG, and streams ExecEvents to a sink. Maintains loop trip
- * counters, the call stack, and the phase schedule across run()
- * calls, so execution can be consumed incrementally.
+ * RNG, and streams event batches to a sink. Maintains loop trip
+ * counters, the call stack, and the phase schedule across calls, so
+ * execution can be consumed incrementally.
  */
 class Executor
 {
@@ -135,18 +179,8 @@ class Executor
     Executor(const Program &prog, std::uint64_t seed = 1);
 
     /**
-     * Execute up to `maxEvents` further blocks.
-     * @return the number of events delivered. Fewer than requested
-     *         means the program halted, returned past its entry
-     *         frame, or the sink stopped it.
-     */
-    std::uint64_t run(std::uint64_t maxEvents, ExecutionSink &sink);
-
-    /**
      * Execute up to `maxEvents` further blocks into `batch`
-     * (cleared first). The produced event stream is identical to
-     * what run() would deliver: both paths share the successor
-     * resolution and consume the RNG in the same order.
+     * (cleared first).
      * @return the number of events filled; fewer than requested
      *         means the program halted or returned past its entry
      *         frame.
@@ -155,19 +189,30 @@ class Executor
 
     /**
      * Execute up to `maxEvents` blocks, delivering them to `sink` in
-     * batches of at most `batchSize` events (one internal buffer is
-     * reused across batches). @return events consumed by the sink.
-     * If the sink stops mid-batch, events past the stop point were
-     * already produced and are dropped (see BatchSink::onBatch);
-     * executedBlocks() counts produced events.
+     * batches of at most `batchSize` events (see deliverBatches).
+     * @return events consumed by the sink. If the sink stops
+     * mid-batch, events past the stop point were already produced
+     * and are dropped (see BatchSink::onBatch); executedBlocks()
+     * counts produced events.
      */
-    std::uint64_t runBatched(std::uint64_t maxEvents, BatchSink &sink,
-                             std::size_t batchSize = defaultBatchSize);
+    std::uint64_t run(std::uint64_t maxEvents, BatchSink &sink,
+                      std::size_t batchSize = defaultBatchSize);
 
-    /** True once the program has halted (run() will deliver 0). */
+    /**
+     * Fast-forward past up to `n` blocks without delivering them:
+     * the stream resumes exactly where `n` delivered events would
+     * have left it. @return blocks skipped; fewer than `n` means the
+     * program halted first.
+     */
+    std::uint64_t skip(std::uint64_t n);
+
+    /**
+     * True once the program has halted: fillBatch(), run() and
+     * skip() produce nothing more.
+     */
     bool finished() const { return finished_; }
 
-    /** Blocks executed so far across all run() calls. */
+    /** Blocks executed (produced) so far across all calls. */
     std::uint64_t executedBlocks() const { return executedBlocks_; }
 
     /** Current phase index (for tests). */

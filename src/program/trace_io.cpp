@@ -333,13 +333,14 @@ TraceWriter::~TraceWriter()
     finish();
 }
 
-bool
-TraceWriter::onEvent(const ExecEvent &ev)
+std::size_t
+TraceWriter::onBatch(const EventBatch &batch)
 {
     RSEL_ASSERT(!finished_, "trace writer already finished");
-    writeLeb128(os_, ev.block->id());
-    ++events_;
-    return true;
+    for (const BlockId id : batch.blockIds)
+        writeLeb128(os_, id);
+    events_ += batch.size();
+    return batch.size();
 }
 
 void
@@ -401,50 +402,6 @@ TraceReplayer::readValue(std::uint64_t &value)
 }
 
 std::uint64_t
-TraceReplayer::run(std::uint64_t maxEvents, ExecutionSink &sink)
-{
-    std::uint64_t delivered = 0;
-    while (!done_ && delivered < maxEvents) {
-        std::uint64_t id = 0;
-        if (!readValue(id)) {
-            fatal("trace file truncated (no end-of-trace marker) at "
-                  "byte offset " +
-                  std::to_string(byteOffset_) + " (after " +
-                  std::to_string(eventsRead_) + " events)");
-        }
-        if (id == prog_.blocks().size()) {
-            done_ = true; // end-of-trace marker
-            break;
-        }
-        if (id > prog_.blocks().size())
-            fatal("trace references unknown block id " +
-                  std::to_string(id));
-        const BasicBlock &block =
-            prog_.block(static_cast<BlockId>(id));
-
-        // Reconstruct the entry annotation the way the executor
-        // would have produced it: a fall-through-capable predecessor
-        // whose fall-through address matches means not-taken;
-        // everything else is a taken transfer.
-        ExecEvent ev;
-        ev.block = &block;
-        if (prev_ != nullptr) {
-            const bool fell =
-                canFallThrough(prev_->terminator()) &&
-                block.startAddr() == prev_->fallThroughAddr();
-            ev.takenBranch = !fell;
-            ev.branchAddr = fell ? invalidAddr : prev_->lastInstAddr();
-        }
-        prev_ = &block;
-        ++delivered;
-        ++eventsRead_;
-        if (!sink.onEvent(ev))
-            break;
-    }
-    return delivered;
-}
-
-std::uint64_t
 TraceReplayer::fillBatch(EventBatch &batch, std::size_t maxEvents)
 {
     batch.clear();
@@ -466,8 +423,10 @@ TraceReplayer::fillBatch(EventBatch &batch, std::size_t maxEvents)
         const BasicBlock &block =
             prog_.block(static_cast<BlockId>(id));
 
-        // Same annotation reconstruction as run(), decoded straight
-        // into the SoA stripes.
+        // Reconstruct the entry annotation the way the executor
+        // would have produced it: a fall-through-capable predecessor
+        // whose fall-through address matches means not-taken;
+        // everything else is a taken transfer.
         bool taken = false;
         Addr branchAddr = invalidAddr;
         if (prev_ != nullptr) {
@@ -485,26 +444,10 @@ TraceReplayer::fillBatch(EventBatch &batch, std::size_t maxEvents)
 }
 
 std::uint64_t
-TraceReplayer::runBatched(std::uint64_t maxEvents, BatchSink &sink,
-                          std::size_t batchSize)
+TraceReplayer::run(std::uint64_t maxEvents, BatchSink &sink,
+                   std::size_t batchSize)
 {
-    RSEL_ASSERT(batchSize > 0, "batch size must be at least 1");
-    EventBatch batch;
-    batch.reserve(batchSize);
-    std::uint64_t consumed = 0;
-    while (consumed < maxEvents) {
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(batchSize, maxEvents - consumed));
-        if (fillBatch(batch, want) == 0)
-            break;
-        const std::size_t took = sink.onBatch(batch);
-        RSEL_ASSERT(took <= batch.size(),
-                    "sink consumed more events than the batch holds");
-        consumed += took;
-        if (took < batch.size())
-            break;
-    }
-    return consumed;
+    return deliverBatches(*this, maxEvents, sink, batchSize);
 }
 
 } // namespace rsel

@@ -57,11 +57,12 @@ void saveProgram(const Program &prog, std::ostream &os);
 Program loadProgram(std::istream &is);
 
 /**
- * An ExecutionSink that records every executed block id to a binary
- * trace stream. Compose it in front of another sink (or use it
- * standalone while an Executor runs).
+ * A BatchSink that records every executed block id to a binary
+ * trace stream: it writes each batch's id stripe and consumes the
+ * whole batch. Run an Executor into it directly, or forward batches
+ * to it from another sink.
  */
-class TraceWriter : public ExecutionSink
+class TraceWriter : public BatchSink
 {
   public:
     /**
@@ -74,7 +75,7 @@ class TraceWriter : public ExecutionSink
     /** Writes the end-of-trace marker unless finish() already did. */
     ~TraceWriter() override;
 
-    bool onEvent(const ExecEvent &event) override;
+    std::size_t onBatch(const EventBatch &batch) override;
 
     /**
      * Write the end-of-trace marker, sealing the trace. Idempotent;
@@ -110,36 +111,27 @@ class TraceReplayer
     TraceReplayer(const Program &prog, std::istream &is);
 
     /**
-     * Deliver up to `maxEvents` further events.
-     * @return events delivered; fewer means the end-of-trace marker
-     *         was reached or the sink stopped.
+     * Decode up to `maxEvents` further events straight into `batch`
+     * (cleared first): LEB128 ids land in the batch's id stripe and
+     * the taken/branch-address annotations are synthesized
+     * alongside, with no per-event ExecEvent materialization.
+     * @return events filled; fewer than requested means the
+     *         end-of-trace marker was reached.
      * @throws FatalError on a corrupt stream — including a stream
      *         that ends without the end-of-trace marker (truncated
      *         between events or mid-LEB128); the error names the
      *         byte offset of the cut.
      */
-    std::uint64_t run(std::uint64_t maxEvents, ExecutionSink &sink);
-
-    /**
-     * Decode up to `maxEvents` further events straight into `batch`
-     * (cleared first) — the zero-copy replay path: LEB128 ids land
-     * in the batch's id stripe and the taken/branch-address
-     * annotations are synthesized alongside, with no per-event
-     * ExecEvent materialization or sink call. The produced stream is
-     * identical to what run() would deliver.
-     * @return events filled; fewer than requested means the
-     *         end-of-trace marker was reached.
-     * @throws FatalError as run() does on corrupt/truncated streams.
-     */
     std::uint64_t fillBatch(EventBatch &batch, std::size_t maxEvents);
 
     /**
-     * Replay up to `maxEvents` events into a batch sink, at most
-     * `batchSize` events per onBatch() call.
+     * Replay up to `maxEvents` events into `sink`, at most
+     * `batchSize` events per onBatch() call (see deliverBatches).
      * @return events consumed by the sink.
+     * @throws FatalError as fillBatch() does.
      */
-    std::uint64_t runBatched(std::uint64_t maxEvents, BatchSink &sink,
-                             std::size_t batchSize = defaultBatchSize);
+    std::uint64_t run(std::uint64_t maxEvents, BatchSink &sink,
+                      std::size_t batchSize = defaultBatchSize);
 
     /** True once the end-of-trace marker has been consumed. */
     bool atEnd() const { return done_; }

@@ -289,23 +289,15 @@ soloTenantRun(const TenantSpec &spec, CacheLimits limits,
     if (skipEvents != 0) {
         // Warm-restart oracle: fast-forward the guest past the
         // events the crashed incarnation consumed, without the
-        // system ever seeing them — the batched equivalence proof
-        // makes this independent of scratch-batch sizing.
+        // system ever seeing them.
         RSEL_ASSERT(skipEvents <= budget,
                     "skip position beyond the event budget");
-        EventBatch scratch;
-        std::uint64_t left = skipEvents;
-        while (left != 0) {
-            const std::uint64_t got = exec.fillBatch(
-                scratch, static_cast<std::size_t>(
-                             std::min<std::uint64_t>(left, 4096)));
-            RSEL_ASSERT(got != 0,
-                        "skip position beyond the guest's halt");
-            left -= got;
-        }
+        const std::uint64_t skipped = exec.skip(skipEvents);
+        RSEL_ASSERT(skipped == skipEvents,
+                    "skip position beyond the guest's halt");
         budget -= skipEvents;
     }
-    exec.runBatched(budget, sys);
+    exec.run(budget, sys);
     SimResult result = sys.finish();
     result.workload = spec.name;
     return result;

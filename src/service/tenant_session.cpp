@@ -31,16 +31,9 @@ TenantSession::TenantSession(TenantId id, const TenantSpec &spec,
         // position" a meaningful oracle.
         RSEL_ASSERT(startEvents <= remaining_,
                     "restart position beyond the event budget");
-        EventBatch scratch;
-        std::uint64_t left = startEvents;
-        while (left != 0) {
-            const std::uint64_t got = exec_.fillBatch(
-                scratch, static_cast<std::size_t>(
-                             std::min<std::uint64_t>(left, 4096)));
-            RSEL_ASSERT(got != 0,
-                        "restart position beyond the guest's halt");
-            left -= got;
-        }
+        const std::uint64_t skipped = exec_.skip(startEvents);
+        RSEL_ASSERT(skipped == startEvents,
+                    "restart position beyond the guest's halt");
         remaining_ -= startEvents;
     }
     // Mirror structural cache mutations into the shared arena from

@@ -226,20 +226,24 @@ class BrokenSelector : public RegionSelector
 };
 
 /** Reference sink: records the trace and the stream facts. */
-class RefSink : public ExecutionSink
+class RefSink : public BatchSink
 {
   public:
-    RefSink(std::ostream &os, const Program &prog) : writer_(os, prog)
+    RefSink(std::ostream &os, const Program &prog)
+        : prog_(prog), writer_(os, prog)
     {
     }
 
-    bool
-    onEvent(const ExecEvent &ev) override
+    std::size_t
+    onBatch(const EventBatch &batch) override
     {
-        hash_ = fnvEvent(hash_, ev.block->id(), ev.takenBranch);
-        ++events_;
-        insts_ += ev.block->instCount();
-        return writer_.onEvent(ev);
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            const BlockId id = batch.blockIds[i];
+            hash_ = fnvEvent(hash_, id, batch.takenFlags[i] != 0);
+            insts_ += prog_.block(id).instCount();
+        }
+        events_ += batch.size();
+        return writer_.onBatch(batch);
     }
 
     void finish() { writer_.finish(); }
@@ -249,6 +253,7 @@ class RefSink : public ExecutionSink
     std::uint64_t hash_ = fnvOffset;
 
   private:
+    const Program &prog_;
     TraceWriter writer_;
 };
 
@@ -453,7 +458,14 @@ runDifferential(const GenSpec &rawSpec, BrokenMode broken, bool verify,
             return report;
         }
 
-        // 3-5. The live + replay matrix over every selector.
+        // 3-5. The live + replay matrix over every selector. In the
+        // checked legs InvariantSink hands the system batches of one
+        // event; the unchecked legs feed the system batches of a
+        // prime size that ends batches mid-region and
+        // mid-trace-formation, and must match them.
+        constexpr std::size_t batchedLegSize = 509;
+        const std::string batchedLeg =
+            "batch-size-" + std::to_string(batchedLegSize);
         bool haveCross = false;
         std::uint64_t crossInsts = 0;
         for (const Algorithm algo : allSelectors) {
@@ -477,7 +489,8 @@ runDifferential(const GenSpec &rawSpec, BrokenMode broken, bool verify,
                     return report;
                 }
             } catch (const std::exception &e) {
-                report.error = name + " live run: " + e.what();
+                report.error =
+                    name + " batch-size-1 live run: " + e.what();
                 return report;
             }
 
@@ -494,7 +507,8 @@ runDifferential(const GenSpec &rawSpec, BrokenMode broken, bool verify,
                 replayer.run(spec.events, inv);
                 replayed = inv.finish();
             } catch (const std::exception &e) {
-                report.error = name + " replay run: " + e.what();
+                report.error =
+                    name + " batch-size-1 replay run: " + e.what();
                 return report;
             }
 
@@ -507,11 +521,6 @@ runDifferential(const GenSpec &rawSpec, BrokenMode broken, bool verify,
                 return report;
             }
 
-            // Batched dispatch legs: the same simulation driven
-            // through EventBatch deliveries must be byte-identical to
-            // the per-event run. A prime batch size guarantees batch
-            // boundaries land mid-region and mid-trace-formation.
-            constexpr std::size_t batchedLegSize = 509;
             SimResult batchedLive;
             try {
                 Executor exec(prog, spec.execSeed);
@@ -520,17 +529,19 @@ runDifferential(const GenSpec &rawSpec, BrokenMode broken, bool verify,
                 if (verify)
                     sys.enableVerifyOnSubmit();
                 sys.armFaults(faults);
-                exec.runBatched(spec.events, sys, batchedLegSize);
+                exec.run(spec.events, sys, batchedLegSize);
                 batchedLive = sys.finish();
             } catch (const std::exception &e) {
-                report.error = name + " batched live run: " + e.what();
+                report.error =
+                    name + " " + batchedLeg + " live run: " + e.what();
                 return report;
             }
             if (const std::string fp = resultFingerprint(batchedLive);
                 fp != fpLive) {
                 report.error =
-                    name + ": batched dispatch diverged from the "
-                           "per-event run: " + firstDiff(fpLive, fp);
+                    name + ": " + batchedLeg +
+                    " live run diverged from the batch-size-1 run: " +
+                    firstDiff(fpLive, fp);
                 return report;
             }
 
@@ -543,19 +554,20 @@ runDifferential(const GenSpec &rawSpec, BrokenMode broken, bool verify,
                 if (verify)
                     sys.enableVerifyOnSubmit();
                 sys.armFaults(faults);
-                replayer.runBatched(spec.events, sys, batchedLegSize);
+                replayer.run(spec.events, sys, batchedLegSize);
                 batchedReplay = sys.finish();
             } catch (const std::exception &e) {
-                report.error =
-                    name + " batched replay run: " + e.what();
+                report.error = name + " " + batchedLeg +
+                               " replay run: " + e.what();
                 return report;
             }
             if (const std::string fp =
                     resultFingerprint(batchedReplay);
                 fp != fpLive) {
                 report.error =
-                    name + ": batched replay diverged from the "
-                           "per-event run: " + firstDiff(fpLive, fp);
+                    name + ": " + batchedLeg +
+                    " replay diverged from the batch-size-1 run: " +
+                    firstDiff(fpLive, fp);
                 return report;
             }
             if (!haveCross) {

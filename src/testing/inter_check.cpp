@@ -47,12 +47,12 @@ class FuncSet
  * Executor, so the shadow stack mirrors the executor's own stack
  * exactly — any disagreement is a violated claim, not noise.
  */
-class CallCountSink : public ExecutionSink
+class CallCountSink : public PerEventSink
 {
   public:
     CallCountSink(const Program &prog, const analysis::CallGraph &cg,
                   InterValidation &val)
-        : cg_(cg), val_(val),
+        : PerEventSink(prog), cg_(cg), val_(val),
           called_(static_cast<std::uint32_t>(prog.functions().size())),
           observed_(cg.sites.size(),
                     FuncSet(static_cast<std::uint32_t>(

@@ -20,8 +20,9 @@ blockDesc(const BasicBlock *b)
 } // namespace
 
 InvariantSink::InvariantSink(const Program &prog, DynOptSystem &system)
-    : prog_(prog), system_(system), oracle_(prog)
+    : PerEventSink(prog), prog_(prog), system_(system), oracle_(prog)
 {
+    one_.reserve(1);
 }
 
 void
@@ -168,13 +169,15 @@ InvariantSink::onEvent(const ExecEvent &ev)
     ++events_;
     insts_ += ev.block->instCount();
 
-    const bool keep = system_.onEvent(ev);
+    one_.clear();
+    one_.push(ev.block->id(), ev.takenBranch, ev.branchAddr);
+    system_.onBatch(one_);
 
     checkDisposition(ev);
     checkNewRegions();
     prev_ = ev.block;
     prevHalted_ = ev.block->terminator() == BranchKind::Halt;
-    return keep;
+    return true;
 }
 
 SimResult

@@ -5,7 +5,9 @@
  * The InvariantSink interposes between an event source (Executor or
  * TraceReplayer) and a DynOptSystem and asserts, on every event and
  * at finish(), the three invariant families of the testing
- * subsystem:
+ * subsystem. Whatever the producer's batch size, it hands the system
+ * one event at a time, so every check sees the system's state right
+ * after that event:
  *
  *  - Transparency: the block stream the optimized system executes —
  *    interpreter steps plus code-cache steps — equals the raw
@@ -71,8 +73,11 @@ fnvEvent(std::uint64_t h, BlockId id, bool taken)
     return fnvByte(h, taken ? 1 : 0);
 }
 
-/** The checking sink. Forwards every event to the wrapped system. */
-class InvariantSink : public ExecutionSink
+/**
+ * The checking sink. Forwards every event to the wrapped system as a
+ * one-event batch and reads the system's lastStep() after each.
+ */
+class InvariantSink : public PerEventSink
 {
   public:
     /**
@@ -118,6 +123,8 @@ class InvariantSink : public ExecutionSink
     const Program &prog_;
     DynOptSystem &system_;
     CfgOracle oracle_;
+    /** The reused one-event batch each event is forwarded in. */
+    EventBatch one_;
     const BasicBlock *prev_ = nullptr;
     bool prevHalted_ = false;
     std::uint64_t events_ = 0;

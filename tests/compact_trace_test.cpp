@@ -133,9 +133,11 @@ TEST_P(CompactTraceRoundTrip, ExecutedPathsRoundTrip)
     Program p = mixedProgram(3);
 
     // Collect an executed block sequence.
-    class Collect : public ExecutionSink
+    class Collect : public PerEventSink
     {
       public:
+        using PerEventSink::PerEventSink;
+
         bool
         onEvent(const ExecEvent &ev) override
         {
@@ -146,7 +148,7 @@ TEST_P(CompactTraceRoundTrip, ExecutedPathsRoundTrip)
     };
 
     Executor exec(p, static_cast<std::uint64_t>(GetParam()));
-    Collect sink;
+    Collect sink(p);
     exec.run(300, sink);
     ASSERT_GT(sink.blocks.size(), 10u);
 

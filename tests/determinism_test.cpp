@@ -37,9 +37,11 @@ std::uint64_t
 streamHashOf(const Program &prog, std::uint64_t seed,
              std::uint64_t events)
 {
-    class Hash : public ExecutionSink
+    class Hash : public PerEventSink
     {
       public:
+        using PerEventSink::PerEventSink;
+
         bool
         onEvent(const ExecEvent &ev) override
         {
@@ -48,7 +50,7 @@ streamHashOf(const Program &prog, std::uint64_t seed,
         }
         std::uint64_t h = fnvOffset;
     };
-    Hash sink;
+    Hash sink(prog);
     Executor exec(prog, seed);
     exec.run(events, sink);
     return sink.h;

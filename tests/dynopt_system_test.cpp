@@ -274,15 +274,23 @@ class CountingSelector : public RegionSelector
     std::unique_ptr<RegionSelector> inner_;
 };
 
-/** Drives a system and checks every event ran interpreted. */
-struct InterpretedOnlySink : ExecutionSink
+/**
+ * Drives a system one event at a time (a reused one-event batch) and
+ * checks every event ran interpreted.
+ */
+struct InterpretedOnlySink : PerEventSink
 {
-    explicit InterpretedOnlySink(DynOptSystem &s) : system(s) {}
+    InterpretedOnlySink(const Program &p, DynOptSystem &s)
+        : PerEventSink(p), system(s)
+    {
+    }
 
     bool
     onEvent(const ExecEvent &ev) override
     {
-        system.onEvent(ev);
+        one.clear();
+        one.push(ev.block->id(), ev.takenBranch, ev.branchAddr);
+        system.onBatch(one);
         insts += ev.block->instCount();
         if (system.lastStep().where != StepTrace::Where::Interpreted)
             ++cached;
@@ -290,6 +298,7 @@ struct InterpretedOnlySink : ExecutionSink
     }
 
     DynOptSystem &system;
+    EventBatch one;
     std::uint64_t insts = 0;
     std::uint64_t cached = 0;
 };
@@ -347,20 +356,18 @@ TEST(DynOptSystemTest, DegradeToInterpretationMidRun)
             atDegrade = system.finish();
         }
 
-        // batchSize 0 = per-event dispatch, which runs first and
-        // sums the instructions of the events after the degrade.
+        // Batch size 1 runs first: its events after the degrade go
+        // through InterpretedOnlySink, which checks each one and sums
+        // their instructions.
         std::uint64_t instsAfter = 0;
         std::vector<std::string> fingerprints;
-        for (const std::size_t batchSize : {0, 1, 257, 4096}) {
+        for (const std::size_t batchSize : {1, 257, 4096}) {
             SCOPED_TRACE("batch size " + std::to_string(batchSize));
             DynOptSystem system(p);
             attach(system);
             Executor exec(p, seed);
-            InterpretedOnlySink after(system);
-            if (batchSize == 0)
-                exec.run(degradeAt, system);
-            else
-                exec.runBatched(degradeAt, system, batchSize);
+            InterpretedOnlySink after(p, system);
+            exec.run(degradeAt, system, batchSize);
             ASSERT_EQ(system.lastStep().where, StepTrace::Where::Cached);
             if (squeeze) {
                 system.setCacheCapacity(1);
@@ -370,13 +377,12 @@ TEST(DynOptSystemTest, DegradeToInterpretationMidRun)
             system.degradeToInterpretation();
             EXPECT_TRUE(system.interpretOnly());
             const std::uint64_t callsAtDegrade = sel->calls;
-            if (batchSize == 0) {
-                exec.run(totalEvents - degradeAt, after);
+            if (batchSize == 1) {
+                exec.run(totalEvents - degradeAt, after, batchSize);
                 EXPECT_EQ(after.cached, 0u);
                 instsAfter = after.insts;
             } else {
-                exec.runBatched(totalEvents - degradeAt, system,
-                                batchSize);
+                exec.run(totalEvents - degradeAt, system, batchSize);
                 EXPECT_EQ(system.lastStep().where,
                           StepTrace::Where::Interpreted);
             }

@@ -17,9 +17,11 @@ Program buildProgramForDeterminism();
 namespace {
 
 /** Sink that records the sequence of executed block ids. */
-class RecordingSink : public ExecutionSink
+class RecordingSink : public PerEventSink
 {
   public:
+    using PerEventSink::PerEventSink;
+
     bool
     onEvent(const ExecEvent &ev) override
     {
@@ -48,7 +50,7 @@ TEST(ExecutorTest, StraightLineRunsToHalt)
 {
     Program p = straightLineProgram();
     Executor exec(p, 1);
-    RecordingSink sink;
+    RecordingSink sink(p);
     const std::uint64_t n = exec.run(100, sink);
     EXPECT_EQ(n, 3u);
     EXPECT_TRUE(exec.finished());
@@ -71,7 +73,7 @@ TEST(ExecutorTest, LoopTripCountsAreExact)
     Program p = b.build();
 
     Executor exec(p, 1);
-    RecordingSink sink;
+    RecordingSink sink(p);
     exec.run(1000, sink);
     // 5 iterations of (head, latch), then the exit block.
     ASSERT_EQ(sink.ids.size(), 11u);
@@ -98,7 +100,7 @@ TEST(ExecutorTest, LoopRearmsOnReentry)
     Program p = b.build();
 
     Executor exec(p, 1);
-    RecordingSink sink;
+    RecordingSink sink(p);
     exec.run(1000, sink);
     // Per outer iteration: outerHead + 3*(innerHead,innerLatch) +
     // outerLatch = 8 events; 2 iterations + final halt block.
@@ -119,7 +121,7 @@ TEST(ExecutorTest, CallAndReturnFollowTheStack)
     Program p = b.build();
 
     Executor exec(p, 1);
-    RecordingSink sink;
+    RecordingSink sink(p);
     exec.run(100, sink);
     EXPECT_EQ(sink.ids, (std::vector<BlockId>{site, body, after}));
     EXPECT_TRUE(sink.taken[1]); // call transfer
@@ -134,7 +136,7 @@ TEST(ExecutorTest, ReturnPastEntryFrameEndsProgram)
     b.ret(x);
     Program p = b.build();
     Executor exec(p, 1);
-    RecordingSink sink;
+    RecordingSink sink(p);
     EXPECT_EQ(exec.run(100, sink), 1u);
     EXPECT_TRUE(exec.finished());
 }
@@ -152,7 +154,7 @@ TEST(ExecutorTest, BernoulliBranchMatchesProbability)
     Program p = b.build();
 
     Executor exec(p, 3);
-    RecordingSink sink;
+    RecordingSink sink(p);
     exec.run(30000, sink);
     int taken = 0, total = 0;
     for (std::size_t i = 0; i + 1 < sink.ids.size(); ++i) {
@@ -180,7 +182,7 @@ TEST(ExecutorTest, IndirectDispatchFollowsWeights)
     Program p = b.build();
 
     Executor exec(p, 5);
-    RecordingSink sink;
+    RecordingSink sink(p);
     exec.run(20000, sink);
     int n0 = 0, n1 = 0;
     for (std::size_t i = 0; i + 1 < sink.ids.size(); ++i) {
@@ -207,7 +209,7 @@ TEST(ExecutorTest, PhasesModulateBranchBias)
     Program p = b.build();
 
     Executor exec(p, 7);
-    RecordingSink sink;
+    RecordingSink sink(p);
     exec.run(900, sink); // stay strictly inside phase 0
     for (std::size_t i = 0; i + 1 < sink.ids.size(); ++i) {
         if (sink.ids[i] == split) {
@@ -234,7 +236,7 @@ TEST(ExecutorTest, DeterministicForSameSeed)
 {
     Program p = buildProgramForDeterminism();
     Executor a(p, 11), b2(p, 11);
-    RecordingSink sa, sb;
+    RecordingSink sa(p), sb(p);
     a.run(5000, sa);
     b2.run(5000, sb);
     EXPECT_EQ(sa.ids, sb.ids);
@@ -244,12 +246,12 @@ TEST(ExecutorTest, ResetRestartsCleanly)
 {
     Program p = buildProgramForDeterminism();
     Executor a(p, 11);
-    RecordingSink s1;
+    RecordingSink s1(p);
     a.run(2000, s1);
     a.reset(11);
     EXPECT_FALSE(a.finished());
     EXPECT_EQ(a.executedBlocks(), 0u);
-    RecordingSink s2;
+    RecordingSink s2(p);
     a.run(2000, s2);
     EXPECT_EQ(s1.ids, s2.ids);
 }
@@ -258,9 +260,11 @@ TEST(ExecutorTest, SinkCanStopEarlyAndResume)
 {
     Program p = straightLineProgram();
 
-    class StopAfterOne : public ExecutionSink
+    class StopAfterOne : public PerEventSink
     {
       public:
+        using PerEventSink::PerEventSink;
+
         bool
         onEvent(const ExecEvent &ev) override
         {
@@ -270,13 +274,27 @@ TEST(ExecutorTest, SinkCanStopEarlyAndResume)
         std::vector<BlockId> ids;
     };
 
+    // Bounded one event at a time, the run resumes exactly where the
+    // last one stopped: the successor is resolved before run()
+    // returns, so nothing is produced past the stop point.
     Executor exec(p, 1);
-    StopAfterOne sink;
-    EXPECT_EQ(exec.run(100, sink), 1u);
-    EXPECT_EQ(exec.run(100, sink), 1u);
-    EXPECT_EQ(exec.run(100, sink), 1u);
+    StopAfterOne sink(p);
+    EXPECT_EQ(exec.run(1, sink), 1u);
+    EXPECT_EQ(exec.executedBlocks(), 1u);
+    EXPECT_EQ(exec.run(1, sink), 1u);
+    EXPECT_EQ(exec.run(1, sink), 1u);
     EXPECT_EQ(sink.ids, (std::vector<BlockId>{0, 1, 2}));
     EXPECT_TRUE(exec.finished());
+    EXPECT_EQ(exec.run(1, sink), 0u);
+
+    // Unbounded, a false mid-batch stops the run and drops the rest
+    // of the batch the producer already advanced past.
+    Executor whole(p, 1);
+    StopAfterOne first(p);
+    EXPECT_EQ(whole.run(100, first), 1u);
+    EXPECT_EQ(first.ids, (std::vector<BlockId>{0}));
+    EXPECT_EQ(whole.executedBlocks(), 3u);
+    EXPECT_TRUE(whole.finished());
 }
 
 } // namespace

@@ -452,15 +452,17 @@ TEST(GracefulDegradationTest, EdgeAccountingSpansDisruptions)
     const Program prog = w->build(42);
     constexpr std::uint64_t events = 20'000;
 
-    struct IdSink : ExecutionSink
+    struct IdSink : PerEventSink
     {
+        using PerEventSink::PerEventSink;
+
         bool onEvent(const ExecEvent &ev) override
         {
             ids.push_back(ev.block->id());
             return true;
         }
         std::vector<BlockId> ids;
-    } ref;
+    } ref(prog);
     {
         Executor exec(prog, 7);
         exec.run(events, ref);
@@ -487,12 +489,12 @@ TEST(GracefulDegradationTest, EdgeAccountingSpansDisruptions)
     }
 }
 
-TEST(FaultTransparencyTest, BatchedDispatchMatchesPerEventUnderFaults)
+TEST(FaultTransparencyTest, BatchSizesAgreeUnderFaults)
 {
     // The per-batch disarm-check hoist must not shift fault indices:
-    // batched and per-event dispatch agree byte-for-byte under an
-    // armed plan, for every selector and across batch sizes that
-    // split regions at awkward points.
+    // every batch size agrees byte-for-byte with batches of one
+    // event under an armed plan, for every selector and across batch
+    // sizes that split regions at awkward points.
     const WorkloadInfo *w = findWorkload("gzip");
     const Program prog = w->build(42);
     FaultPlan plan;
@@ -508,13 +510,11 @@ TEST(FaultTransparencyTest, BatchedDispatchMatchesPerEventUnderFaults)
         opts.maxEvents = 60'000;
         opts.seed = 7;
         opts.faults = plan;
-        opts.dispatch = Dispatch::PerEvent;
-        const SimResult perEvent = simulate(prog, algo, opts);
-        const std::string fp = testing::resultFingerprint(perEvent);
-        EXPECT_GT(perEvent.recovery.faultsInjected, 0u);
-        opts.dispatch = Dispatch::Batched;
-        for (const std::size_t bs : {std::size_t{1},
-                                     std::size_t{257},
+        opts.batchSize = 1;
+        const SimResult batchOne = simulate(prog, algo, opts);
+        const std::string fp = testing::resultFingerprint(batchOne);
+        EXPECT_GT(batchOne.recovery.faultsInjected, 0u);
+        for (const std::size_t bs : {std::size_t{2}, std::size_t{257},
                                      defaultBatchSize}) {
             opts.batchSize = bs;
             const SimResult batched = simulate(prog, algo, opts);

@@ -110,10 +110,13 @@ TEST(RandomProgramTest, GeneratedStreamsAreCfgLegal)
         const Program prog = generateProgram(spec);
         const CfgOracle oracle(prog);
 
-        class Check : public ExecutionSink
+        class Check : public PerEventSink
         {
           public:
-            Check(const CfgOracle &o) : oracle_(o) {}
+            Check(const Program &p, const CfgOracle &o)
+                : PerEventSink(p), oracle_(o)
+            {
+            }
             bool
             onEvent(const ExecEvent &ev) override
             {
@@ -129,7 +132,7 @@ TEST(RandomProgramTest, GeneratedStreamsAreCfgLegal)
             const CfgOracle &oracle_;
             const BasicBlock *prev_ = nullptr;
         };
-        Check sink(oracle);
+        Check sink(prog, oracle);
         Executor exec(prog, spec.execSeed);
         exec.run(spec.events, sink);
     }

@@ -2,8 +2,8 @@
  * @file
  * Pinned-fingerprint check: simulate() on the 12 suite guests under
  * the paper's four algorithms must reproduce the fingerprints
- * recorded in perfbench/pins/guest.pins, under per-event and batched
- * dispatch alike. Both dispatch styles run one loop, so the
+ * recorded in perfbench/pins/guest.pins, at batch size 1 and at a
+ * prime batch size alike. Every batch size runs one loop, so the
  * equivalence oracles compare that loop with itself; the recorded
  * pins are what catches a change that moves every leg the same way.
  * The pin file is only read here; perfbench regenerates it.
@@ -55,7 +55,7 @@ pinEntry(const SimResult &result)
 }
 
 void
-checkSuite(Dispatch dispatch)
+checkSuite(std::size_t batchSize)
 {
     const std::map<std::string, std::string> pins = loadPins();
     ASSERT_FALSE(pins.empty()) << "no pins read from " RSEL_GUEST_PINS;
@@ -65,8 +65,7 @@ checkSuite(Dispatch dispatch)
             SimOptions opts;
             opts.maxEvents = info.defaultEvents;
             opts.seed = execSeed;
-            opts.dispatch = dispatch;
-            opts.batchSize = 509; // prime: batches cut regions anywhere
+            opts.batchSize = batchSize;
             const std::string key = info.name + "/" +
                                     std::to_string(execSeed) + "/" +
                                     algorithmName(algo);
@@ -80,12 +79,12 @@ checkSuite(Dispatch dispatch)
 
 TEST(PinnedFingerprintTest, BatchedMatchesPins)
 {
-    checkSuite(Dispatch::Batched);
+    checkSuite(509); // prime: batches cut regions anywhere
 }
 
-TEST(PinnedFingerprintTest, PerEventMatchesPins)
+TEST(PinnedFingerprintTest, BatchSizeOneMatchesPins)
 {
-    checkSuite(Dispatch::PerEvent);
+    checkSuite(1);
 }
 
 } // namespace

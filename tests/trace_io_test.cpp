@@ -61,9 +61,11 @@ TEST_P(TraceIoSuiteTest, ExecutionMatchesAfterRoundTrip)
 
     // Behaviours must round-trip too: identical seeds produce
     // identical streams.
-    class Ids : public ExecutionSink
+    class Ids : public PerEventSink
     {
       public:
+        using PerEventSink::PerEventSink;
+
         bool
         onEvent(const ExecEvent &ev) override
         {
@@ -73,7 +75,7 @@ TEST_P(TraceIoSuiteTest, ExecutionMatchesAfterRoundTrip)
         std::vector<BlockId> ids;
     };
     Executor e1(original, 17), e2(loaded, 17);
-    Ids s1, s2;
+    Ids s1(original), s2(loaded);
     e1.run(30'000, s1);
     e2.run(30'000, s2);
     EXPECT_EQ(s1.ids, s2.ids);
@@ -92,20 +94,20 @@ TEST(TraceIoTest, RecordedTraceReplaysIdentically)
 
     // Record 200k events while simulating under NET.
     std::stringstream traceFile;
-    class Tee : public ExecutionSink
+    class Tee : public BatchSink
     {
       public:
-        Tee(ExecutionSink &a, ExecutionSink &b) : a_(a), b_(b) {}
-        bool
-        onEvent(const ExecEvent &ev) override
+        Tee(BatchSink &a, BatchSink &b) : a_(a), b_(b) {}
+        std::size_t
+        onBatch(const EventBatch &batch) override
         {
-            a_.onEvent(ev);
-            return b_.onEvent(ev);
+            a_.onBatch(batch);
+            return b_.onBatch(batch);
         }
 
       private:
-        ExecutionSink &a_;
-        ExecutionSink &b_;
+        BatchSink &a_;
+        BatchSink &b_;
     };
 
     DynOptSystem live(p);
@@ -144,14 +146,14 @@ TEST(TraceIoTest, ReplayerCanPause)
     exec.run(1'000, writer);
     writer.finish();
 
-    class Count : public ExecutionSink
+    class Count : public BatchSink
     {
       public:
-        bool
-        onEvent(const ExecEvent &) override
+        std::size_t
+        onBatch(const EventBatch &batch) override
         {
-            ++n;
-            return true;
+            n += batch.size();
+            return batch.size();
         }
         std::uint64_t n = 0;
     };
@@ -166,13 +168,13 @@ TEST(TraceIoTest, ReplayerCanPause)
 
 namespace {
 
-class NullSink : public ExecutionSink
+class NullSink : public BatchSink
 {
   public:
-    bool
-    onEvent(const ExecEvent &) override
+    std::size_t
+    onBatch(const EventBatch &batch) override
     {
-        return true;
+        return batch.size();
     }
 };
 
@@ -250,16 +252,7 @@ TEST(TraceIoTest, MalformedInputsAreFatal)
         trace.put(static_cast<char>(0xff));
         trace.put(static_cast<char>(0x7f)); // id 16383
         TraceReplayer replayer(p, trace);
-        class Null : public ExecutionSink
-        {
-          public:
-            bool
-            onEvent(const ExecEvent &) override
-            {
-                return true;
-            }
-        };
-        Null sink;
+        NullSink sink;
         EXPECT_THROW(replayer.run(10, sink), FatalError);
     }
     {
@@ -318,6 +311,45 @@ TEST(TraceIoTest, ReplayMatchesLiveUnderEverySelector)
         EXPECT_EQ(testing::resultFingerprint(replayResult),
                   testing::resultFingerprint(liveResult))
             << algorithmName(algo);
+    }
+}
+
+// The trace is a function of the stream alone: recording through
+// TraceWriter at any batch size writes the same bytes, and replaying
+// at any batch size gives the same SimResult.
+TEST(TraceIoTest, RecordAndReplayAreBatchSizeInvariant)
+{
+    Program p = buildGzip(42);
+    const std::uint64_t seed = 7, events = 40'000;
+    constexpr std::size_t sizes[] = {1, 257, 4096};
+
+    std::vector<std::string> traces;
+    for (const std::size_t bs : sizes) {
+        std::ostringstream os;
+        TraceWriter writer(os, p);
+        Executor exec(p, seed);
+        EXPECT_EQ(exec.run(events, writer, bs), events);
+        writer.finish();
+        EXPECT_EQ(writer.eventCount(), events);
+        traces.push_back(os.str());
+    }
+    for (const std::string &t : traces)
+        EXPECT_EQ(t, traces.front());
+
+    for (const Algorithm algo : {Algorithm::Net, Algorithm::LeiCombined}) {
+        SCOPED_TRACE(algorithmName(algo));
+        std::vector<std::string> fps;
+        for (const std::size_t bs : sizes) {
+            DynOptSystem sys(p);
+            attachAlgorithm(sys, algo);
+            std::istringstream is(traces.front());
+            TraceReplayer replayer(p, is);
+            EXPECT_EQ(replayer.run(events + 1, sys, bs), events);
+            EXPECT_TRUE(replayer.atEnd());
+            fps.push_back(testing::resultFingerprint(sys.finish()));
+        }
+        for (const std::string &fp : fps)
+            EXPECT_EQ(fp, fps.front());
     }
 }
 

@@ -17,9 +17,11 @@ namespace rsel {
 namespace {
 
 /** Record executed block ids. */
-class Record : public ExecutionSink
+class Record : public PerEventSink
 {
   public:
+    using PerEventSink::PerEventSink;
+
     bool
     onEvent(const ExecEvent &ev) override
     {
@@ -113,7 +115,7 @@ TEST(WorkloadKitTest, CallFromTwoSitesGivesEntryTwoPredecessors)
 
     // Both sites actually execute.
     Executor exec(p, 5);
-    Record sink;
+    Record sink(p);
     exec.run(20'000, sink);
     std::vector<int> counts(p.blocks().size(), 0);
     for (BlockId id : sink.ids)
@@ -137,7 +139,7 @@ TEST(WorkloadKitTest, SwitchCasesAllRejoin)
     Program p = kit.build();
 
     Executor exec(p, 5);
-    Record sink;
+    Record sink(p);
     exec.run(5'000, sink);
     std::vector<int> counts(p.blocks().size(), 0);
     for (BlockId id : sink.ids)
@@ -187,7 +189,7 @@ TEST(WorkloadMotifTest, KernelShapeFollowsSpec)
 
     // And it runs: the kernel must return to main's loop.
     Executor exec(p, 9);
-    Record sink;
+    Record sink(p);
     const std::uint64_t n = exec.run(50'000, sink);
     EXPECT_EQ(n, 50'000u);
 }
@@ -213,7 +215,7 @@ TEST(WorkloadMotifTest, ColdUtilVariantsDiffer)
     EXPECT_GE(sizes.size(), 3u);
 
     Executor exec(p, 3);
-    Record sink;
+    Record sink(p);
     EXPECT_EQ(exec.run(10'000, sink), 10'000u);
 }
 

@@ -36,9 +36,11 @@ TEST(WorkloadRegistryTest, FindByName)
 }
 
 /** Counting sink for executability checks. */
-class CountSink : public ExecutionSink
+class CountSink : public PerEventSink
 {
   public:
+    using PerEventSink::PerEventSink;
+
     bool
     onEvent(const ExecEvent &ev) override
     {
@@ -82,7 +84,7 @@ TEST_P(WorkloadSuiteTest, RunsWithoutHalting)
     const WorkloadInfo *info = findWorkload(GetParam());
     Program p = info->build(42);
     Executor exec(p, 7);
-    CountSink sink;
+    CountSink sink(p);
     const std::uint64_t n = exec.run(50'000, sink);
     // Workloads loop forever; the budget must be the limiter.
     EXPECT_EQ(n, 50'000u);
@@ -101,9 +103,11 @@ TEST_P(WorkloadSuiteTest, ExecutionIsSeedDeterministic)
     const WorkloadInfo *info = findWorkload(GetParam());
     Program p = info->build(42);
 
-    class FirstBlocks : public ExecutionSink
+    class FirstBlocks : public PerEventSink
     {
       public:
+        using PerEventSink::PerEventSink;
+
         bool
         onEvent(const ExecEvent &ev) override
         {
@@ -114,7 +118,7 @@ TEST_P(WorkloadSuiteTest, ExecutionIsSeedDeterministic)
     };
 
     Executor e1(p, 99), e2(p, 99), e3(p, 100);
-    FirstBlocks s1, s2, s3;
+    FirstBlocks s1(p), s2(p), s3(p);
     e1.run(20'000, s1);
     e2.run(20'000, s2);
     e3.run(20'000, s3);

@@ -243,11 +243,8 @@ main(int argc, char **argv)
                     if (opts.verifyRegions)
                         system.enableVerifyOnSubmit();
                     system.armFaults(opts.faults, opts.faultSeed);
-                    // Replay through the batched path: identical
-                    // results (see batch_dispatch_test), one virtual
-                    // call per EventBatch instead of per block.
                     const std::uint64_t n =
-                        rp.runBatched(replayEvents, system);
+                        rp.run(replayEvents, system);
                     SimResult r = system.finish();
                     std::cout << algorithmName(algo) << ": " << n
                               << " events, hit "
